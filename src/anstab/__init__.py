@@ -20,7 +20,6 @@ from .anquiver import (
 from .exact import EC, ExactComplex, GaussianRational, LaurentGR, gr
 from .hearts import (
     Heart,
-    SerreSubset,
     backward_tilt,
     canonical_form,
     convenient_representative,

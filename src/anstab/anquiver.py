@@ -86,15 +86,6 @@ class QuiverWithPotential:
     def arrow_count(self, v: int, w: int) -> int:
         return sum(1 for a in self.arrows if a == (v, w))
 
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for (a, b) in self.arrows:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
-
     def components(self, subset: Iterable[int] | None = None) -> list[frozenset[int]]:
         """Connected components of the underlying graph, optionally restricted."""
         verts = set(self.vertices) if subset is None else set(subset)

@@ -461,15 +461,15 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"malformed JSON near {exc.pos}: {exc.msg}", file=sys.stderr)
         return 2
     except (Failure, StabilityError, MS.MscError, LIM.LimitError, ST.StrataError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except (KeyError, TypeError) as exc:
         print(f"usage error: bad input field: {exc}", file=sys.stderr)
         return 2

@@ -52,7 +52,6 @@ __all__ = [
     "QQ",
     "gr",
     "mat_mul",
-    "mat_vec",
     "mat_identity",
     "mat_det",
     "solve_in_basis",
@@ -357,14 +356,6 @@ class ExactComplex:
     def conj(self) -> "ExactComplex":
         return ExactComplex([(-r, s, c.conj()) for r, s, c in self.atoms])
 
-    def divide_atom(self, other: "ExactComplex") -> "ExactComplex":
-        """Divide by a single-atom value."""
-        if len(other.atoms) != 1:
-            raise ValueError("divisor must be a single atom")
-        r, s, c = other.atoms[0]
-        inv = ExactComplex([(-r, -s, _GR_ONE / c)])
-        return self * inv
-
     # -- predicates
 
     def is_zero(self) -> bool:
@@ -467,13 +458,6 @@ class ExactComplex:
             return 0
         # antipodal within one bucket cannot happen: buckets are half-turns
         raise PrecisionError("phase comparison hit an antipodal pair")
-
-    def parallel_positive(self, other: "ExactComplex") -> bool:
-        """True if self = t * other for some real t > 0."""
-        if self.is_zero() or other.is_zero():
-            return False
-        cross = self.conj() * other
-        return cross.im_sign() == 0 and cross.re_sign() > 0
 
     def cmp_abs(self, other: "ExactComplex") -> int:
         d = self * self.conj() - other * other.conj()
@@ -642,10 +626,6 @@ def mat_mul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)]
         for i in range(n)
     ]
-
-
-def mat_vec(a, v):
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
 
 
 def mat_det(a) -> Fraction:

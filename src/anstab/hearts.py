@@ -184,18 +184,6 @@ def shift_heart(h: Heart, k: int = 1) -> Heart:
 
 
 # ---------------------------------------------------------------------------
-# Serre subsets
-
-
-@dataclass(frozen=True)
-class SerreSubset:
-    labels: frozenset[int]
-
-    def components(self, h: Heart) -> list[frozenset[int]]:
-        return h.ext.components(self.labels)
-
-
-# ---------------------------------------------------------------------------
 # Convenient representatives
 
 

@@ -13,7 +13,8 @@ accumulated while processing.  Everything is decided symbolically:
   them sits on the positive real axis.  If one does, the family is rotated
   by the smallest schedule value 1/q (q = 64, 32, ...) that leaves every
   indecomposable leading phase off the axis, the hearts are retilted
-  symbolically, and the extraction restarts.
+  symbolically by the tilt engine ``stability.TiltState``, and the
+  extraction restarts.
 
 The returned rotation lets callers undo the rotation branch exactly.
 """
@@ -33,8 +34,9 @@ from .exact import (
     _atom_re_sign,
     gr,
 )
-from .hearts import Heart, forward_tilt
+from .hearts import Heart
 from .multiscale import MscError, MultiScaleStab, validate_msc
+from .stability import TiltState
 
 
 class LimitError(ValueError):
@@ -161,44 +163,33 @@ def _check_admissible(heart: Heart, zc: LaurentCharge) -> None:
         raise InadmissibleFamily(msg)
 
 
-def _tilt_family(heart: Heart, fams: dict[int, LaurentGR], s: int):
-    fs = fams[s]
-    out = dict(fams)
-    for t in heart.labels:
-        if t == s:
-            continue
-        m = heart.ext1(t, s)
-        if m:
-            out[t] = out[t] + fs.scale(m)
-    out[s] = -fs
-    return forward_tilt(heart, s), out
+@dataclass(frozen=True)
+class _Family:
+    """A family rotated by e^(-i*pi*rot), as a value for the tilt engine."""
 
+    rot: Fraction
+    f: LaurentGR
 
-def _leading_phase_cmp(rot: Fraction, f1: LaurentGR, f2: LaurentGR) -> int:
-    a = EC([(rot, Fraction(0), f1.leading())])
-    b = EC([(rot, Fraction(0), f2.leading())])
-    return a.cmp_phase(b)
+    def __add__(self, other: "_Family") -> "_Family":
+        return _Family(self.rot, self.f + other.f)
 
+    def __mul__(self, m: int) -> "_Family":
+        return _Family(self.rot, self.f.scale(m))
 
-def _settle_family(heart: Heart, fams: dict[int, LaurentGR], rot: Fraction):
-    """Forward-tilt until every simple family is eventually in the half plane."""
-    n = heart.rank()
-    for _ in range(40 * n * n + 8):
-        offenders = [
-            l for l in heart.labels if not _eventually_in_h(rot, fams[l])
-        ]
-        if not offenders:
-            return heart, fams
-        for l in offenders:
-            if fams[l].is_zero():
-                raise InadmissibleFamily(f"simple {l} degenerated to zero")
-        best = offenders[0]
-        for l in offenders[1:]:
-            c = _leading_phase_cmp(rot, fams[l], fams[best])
-            if c < 0:
-                best = l
-        heart, fams = _tilt_family(heart, fams, best)
-    raise LimitError("family tilt loop did not terminate")
+    def __neg__(self) -> "_Family":
+        return _Family(self.rot, -self.f)
+
+    def is_zero(self) -> bool:
+        return self.f.is_zero()
+
+    def in_upper_semiclosed(self) -> bool:
+        return _eventually_in_h(self.rot, self.f)
+
+    def cmp_phase(self, other: "_Family") -> int:
+        """Compare the phases of the leading terms."""
+        a = EC([(self.rot, Fraction(0), self.f.leading())])
+        b = EC([(other.rot, Fraction(0), other.f.leading())])
+        return a.cmp_phase(b)
 
 
 def _wall_phases_hit(heart: Heart, fams: dict[int, LaurentGR], rot: Fraction,
@@ -235,7 +226,10 @@ def extract_limit(heart: Heart, zc: LaurentCharge):
     rot = zc.rot
     heart_cur = heart
     for _round in range(len(ROTATION_SCHEDULE) + 1):
-        heart_cur, fams = _settle_family(heart_cur, fams, rot)
+        st = TiltState(heart_cur, [{l: _Family(rot, f) for l, f in fams.items()}])
+        st.settle(0)
+        heart_cur = st.heart
+        fams = {l: v.f for l, v in st.charges[0].items()}
         vals = {l: fams[l].valuation() for l in heart_cur.labels}
         distinct = sorted(set(vals.values()))
         hit = False

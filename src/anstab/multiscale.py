@@ -16,6 +16,7 @@ levels with charge Z_{j-1} + e^(-i*pi*tau) Z_j on the disjoint simple
 decomposition).  Lifted tilts use convenient representatives: tilt forward
 along the chains inside the deeper subset, tilt at the quotient simple, tilt
 backward along the chains; the deeper data returns to its starting state.
+Both operations run on the tilt engine ``stability.TiltState``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from typing import Mapping, Sequence
 
 from .anquiver import enumerate_strings, restrict
 from .exact import EC, ExactComplex, solve_in_basis
-from .hearts import Heart, canonical_form, shift_heart, _tilt
+from .hearts import Heart, canonical_form
 from .klattice import simple_twist_data
-from .stability import StabilityCondition, WallHit, as_exact_value, as_lambda
+from .stability import StabilityCondition, TiltState, as_exact_value, as_lambda
 
 INFTY = None  # formal -i*infinity plumbing entry
 
@@ -407,166 +408,19 @@ def projectively_equivalent(m1: MultiScaleStab, m2: MultiScaleStab) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The working state: tilts that carry hearts and all level charges along
-
-
-class _State:
-    def __init__(self, m: MultiScaleStab):
-        self.heart = m.top
-        self.levels: list[frozenset[int]] = list(m.level_sets)
-        self.charges: list[dict[int, ExactComplex]] = [
-            m.charge(i) for i in range(m.L + 1)
-        ]
-        n = self.heart.rank()
-        self.cap = 80 * n * n + 16
-
-    @property
-    def L(self) -> int:
-        return len(self.levels)
-
-    def lset(self, i: int) -> frozenset[int]:
-        if i == 0:
-            return frozenset(self.heart.labels)
-        if i <= self.L:
-            return self.levels[i - 1]
-        return frozenset()
-
-    def tilt(self, s: int, direction: int) -> None:
-        h = self.heart
-        for t in h.labels:
-            if t == s:
-                continue
-            mult = h.ext1(t, s) if direction > 0 else h.ext1(s, t)
-            if not mult:
-                continue
-            for ch in self.charges:
-                if t in ch:
-                    if s not in ch:
-                        raise AssertionError(
-                            "tilt at a simple outside a level would change "
-                            "that level's lattice"
-                        )
-                    ch[t] = ch[t] + ch[s] * mult
-        for ch in self.charges:
-            if s in ch:
-                ch[s] = -ch[s]
-        self.heart = _tilt(h, s, direction)
-
-    def rotate_from(self, i0: int, factor: ExactComplex) -> None:
-        for i in range(i0, self.L + 1):
-            ch = self.charges[i]
-            for l in ch:
-                ch[l] = factor * ch[l]
-
-    def _min_phase(self, labels, charge) -> int:
-        best = None
-        for l in labels:
-            if best is None:
-                best = l
-                continue
-            c = charge[l].cmp_phase(charge[best])
-            if c < 0 or (c == 0 and l < best):
-                best = l
-        return best
-
-    def depth_of(self, s: int) -> int:
-        d = 0
-        for k in range(1, self.L + 1):
-            if s in self.lset(k):
-                d = k
-        return d
-
-    def protected_tilt(self, s: int) -> list[tuple[int, int]]:
-        """Forward tilt of the depth(s)-quotient at s, preserving all deeper
-        levels; returns the flat elementary tilt word performed.
-
-        Deeper simples extending s are removed first by tilting along the
-        chains inside the next level (each such tilt is itself protected),
-        then the tilt at s happens, then the chain tilts are reversed.  The
-        net effect on every level below depth(s) is the identity, which is
-        asserted.
-        """
-        d = self.depth_of(s)
-        v = self.lset(d + 1)
-        if not v:
-            self.tilt(s, +1)
-            return [(s, +1)]
-        snapshot = {l: self.heart.cls(l) for l in v}
-        word: list[tuple[int, int]] = []
-        guard = 0
-        while True:
-            extenders = sorted(l for l in v if self.heart.ext1(l, s) == 1)
-            if not extenders:
-                break
-            guard += 1
-            if guard > self.cap:
-                raise WallHit("convenient-representative chains did not terminate")
-            word.extend(self.protected_tilt(extenders[0]))
-        self.tilt(s, +1)
-        undo = [(l, -dd) for (l, dd) in reversed(word)]
-        for l, dd in undo:
-            self.tilt(l, dd)
-        if {l: self.heart.cls(l) for l in v} != snapshot:
-            raise AssertionError("protected tilt failed to restore deeper levels")
-        return word + [(s, +1)] + undo
-
-    def settle(self, i: int) -> None:
-        """Re-establish half-plane validity of quotients at levels >= i."""
-        if i < self.L:
-            self.settle(i + 1)
-        quotient = sorted(self.lset(i) - self.lset(i + 1))
-        charge = self.charges[i]
-        steps = 0
-        while True:
-            offenders = [
-                l for l in quotient if not charge[l].in_upper_semiclosed()
-            ]
-            if not offenders:
-                break
-            steps += 1
-            if steps > self.cap:
-                raise WallHit(f"tilt loop at level {i} did not terminate")
-            x = self._min_phase(offenders, charge)
-            self.protected_tilt(x)
-
-    def act_from(self, i0: int, re: Fraction, im: Fraction) -> None:
-        """Apply the action by re + i*im to levels i0..L, in unit chunks.
-
-        One settle pass realizes the torsion-free tilt of a rotation with
-        real part at most one half-turn; larger rotations decompose by the
-        action axiom.  The even rotation part only contributes shift
-        bookkeeping at the top.
-        """
-        even = 2 * (re // 2)
-        residual = re - even
-        if im:
-            self.rotate_from(i0, EC.unit(Fraction(0), im))
-        if even and i0 == 0:
-            self.heart = shift_heart(self.heart, int(even))
-        while residual > 0:
-            step = min(residual, Fraction(1))
-            self.rotate_from(i0, EC.unit(step))
-            self.settle(i0)
-            residual -= step
-
-    def merge(self, j: int) -> None:
-        """Remove the passage between levels j-1 and j."""
-        nj, njp = self.lset(j), self.lset(j + 1)
-        for l in sorted(nj - njp):
-            self.charges[j - 1][l] = self.charges[j][l]
-        del self.charges[j]
-        del self.levels[j - 1]
-
-    def freeze(self) -> MultiScaleStab:
-        return MultiScaleStab(
-            self.heart,
-            tuple(self.levels),
-            tuple(tuple(sorted(ch.items())) for ch in self.charges),
-        )
-
-
-# ---------------------------------------------------------------------------
 # The action and plumbing
+
+
+def _state(m: MultiScaleStab) -> TiltState:
+    return TiltState(m.top, [m.charge(i) for i in range(m.L + 1)], m.level_sets)
+
+
+def _freeze(st: TiltState) -> MultiScaleStab:
+    return MultiScaleStab(
+        st.heart,
+        tuple(st.levels),
+        tuple(tuple(sorted(ch.items())) for ch in st.charges),
+    )
 
 
 def c_act_msc(m: MultiScaleStab, lam) -> MultiScaleStab:
@@ -577,11 +431,9 @@ def c_act_msc(m: MultiScaleStab, lam) -> MultiScaleStab:
     half plane beforehand (a representative change inside the equivalence
     class).
     """
-    m = normalize_representative(m)
-    re, im = as_lambda(lam)
-    st = _State(m)
-    st.act_from(0, re, im)
-    return st.freeze()
+    st = _state(normalize_representative(m))
+    st.act_from(0, *as_lambda(lam))
+    return _freeze(st)
 
 
 def plumb(m: MultiScaleStab, taus: Sequence) -> MultiScaleStab:
@@ -594,8 +446,7 @@ def plumb(m: MultiScaleStab, taus: Sequence) -> MultiScaleStab:
     """
     if len(taus) != m.L:
         raise MscError(f"expected {m.L} plumbing entries, got {len(taus)}")
-    m = normalize_representative(m)
-    st = _State(m)
+    st = _state(normalize_representative(m))
     finite = []
     for j, tau in enumerate(taus, start=1):
         if tau is INFTY:
@@ -606,8 +457,12 @@ def plumb(m: MultiScaleStab, taus: Sequence) -> MultiScaleStab:
         finite.append((j, re, im))
     for j, re, im in sorted(finite, reverse=True):
         st.act_from(j, re, im)
-        st.merge(j)
-    out = st.freeze()
+        # merge levels j-1 and j: the level-j quotient joins level j-1
+        for l in sorted(st.lset(j) - st.lset(j + 1)):
+            st.charges[j - 1][l] = st.charges[j][l]
+        del st.charges[j]
+        del st.levels[j - 1]
+    out = _freeze(st)
     # plumbing valid inputs always yields a valid multi-scale object
     for l in sorted(out.quotient_labels(0)):
         if not out.charge(0)[l].in_upper_semiclosed():

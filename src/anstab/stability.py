@@ -8,6 +8,11 @@ tilts: while some simple's charge has left H, tilt at a simple of minimal
 phase (ties by label).  The charge of the result always equals
 e^(-i*pi*lam) times the input charge as a map on K; lam = 1 realizes the
 shift, purely imaginary lam rescales without touching the heart.
+
+``TiltState`` is the one engine behind this repair loop.  ``c_act`` is its
+zero-level case; ``multiscale`` runs it on nested level charges for the
+multi-scale action and plumbing, and ``limits`` on Laurent families to
+retilt degeneration limits.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Mapping
 
 from .anquiver import enumerate_strings
 from .exact import EC, ExactComplex, GaussianRational, solve_in_basis
-from .hearts import Heart, KClass, forward_tilt, shift_heart
+from .hearts import Heart, KClass, _tilt, shift_heart
 
 
 class StabilityError(ValueError):
@@ -178,78 +183,162 @@ def mass(sigma: StabilityCondition, gamma: KClass) -> Mass:
     return Mass(tuple(v.abs2_parts()), abs(v))
 
 
-def _min_phase_label(charge: dict[int, ExactComplex], labels) -> int:
-    best = None
-    for l in labels:
-        if best is None:
-            best = l
-            continue
-        c = charge[l].cmp_phase(charge[best])
-        if c < 0 or (c == 0 and l < best):
-            best = l
-    return best
+class TiltState:
+    """The one settle/tilt engine: a heart carrying nested level charges.
 
-
-def tilt_with_charge(heart: Heart, charge: dict[int, ExactComplex], s: int):
-    """Forward tilt updating the charge values alongside the K-classes."""
-    zs = charge[s]
-    new_charge = dict(charge)
-    for t in heart.labels:
-        if t == s:
-            continue
-        m = heart.ext1(t, s)
-        if m:
-            new_charge[t] = new_charge[t] + zs * m
-    new_charge[s] = -zs
-    return forward_tilt(heart, s), new_charge
-
-
-def _settle_charge(heart: Heart, charge: dict[int, ExactComplex], cap: int):
-    """Forward-tilt at minimal-phase offenders until every simple is valid.
-
-    Correctly realizes the tilt at the torsion-free class of one rotation
-    step with real part at most 1; larger rotations must be chunked.
+    ``levels`` lists the label subsets N_1 > ... > N_L and ``charges[i]`` the
+    values on N_i (the zero-level case is a plain stability condition).
+    Values are duck-typed: the engine needs ``+``, integer ``*``, unary
+    ``-``, ``is_zero``, ``in_upper_semiclosed`` and ``cmp_phase``; rotations
+    (``act_from``) additionally multiply by an ExactComplex.  A tilt at s
+    updates every level holding s alongside the K-classes; settling
+    forward-tilts at the quotient simple of minimal phase (ties by label)
+    until every quotient value lies in H, against one cap of 80n^2 + 16.
     """
-    steps = 0
-    while True:
-        offenders = [l for l in heart.labels if not charge[l].in_upper_semiclosed()]
-        if not offenders:
-            return heart, charge
-        for l in offenders:
-            if charge[l].is_zero():
-                raise StabilityError("charge degenerated to zero during the action")
-        steps += 1
-        if steps > cap:
-            raise WallHit(
-                "tilt loop did not terminate; the rotation hits a wall "
-                "outside the finite-type range"
-            )
-        s = _min_phase_label(charge, offenders)
-        heart, charge = tilt_with_charge(heart, charge, s)
+
+    def __init__(self, heart: Heart, charges, levels=()):
+        self.heart = heart
+        self.levels: list[frozenset[int]] = list(levels)
+        self.charges: list[dict] = [dict(ch) for ch in charges]
+        n = heart.rank()
+        self.cap = 80 * n * n + 16
+
+    @property
+    def L(self) -> int:
+        return len(self.levels)
+
+    def lset(self, i: int) -> frozenset[int]:
+        if i == 0:
+            return frozenset(self.heart.labels)
+        if i <= self.L:
+            return self.levels[i - 1]
+        return frozenset()
+
+    def tilt(self, s: int, direction: int) -> None:
+        h = self.heart
+        for t in h.labels:
+            if t == s:
+                continue
+            mult = h.ext1(t, s) if direction > 0 else h.ext1(s, t)
+            if not mult:
+                continue
+            for ch in self.charges:
+                if t in ch:
+                    if s not in ch:
+                        raise AssertionError(
+                            "tilt at a simple outside a level would change "
+                            "that level's lattice"
+                        )
+                    ch[t] = ch[t] + ch[s] * mult
+        for ch in self.charges:
+            if s in ch:
+                ch[s] = -ch[s]
+        self.heart = _tilt(h, s, direction)
+
+    def rotate_from(self, i0: int, factor: ExactComplex) -> None:
+        for i in range(i0, self.L + 1):
+            ch = self.charges[i]
+            for l in ch:
+                ch[l] = factor * ch[l]
+
+    def depth_of(self, s: int) -> int:
+        d = 0
+        for k in range(1, self.L + 1):
+            if s in self.lset(k):
+                d = k
+        return d
+
+    def protected_tilt(self, s: int) -> list[tuple[int, int]]:
+        """Forward tilt of the depth(s)-quotient at s, preserving all deeper
+        levels; returns the flat elementary tilt word performed.
+
+        Deeper simples extending s are removed first by tilting along the
+        chains inside the next level (each such tilt is itself protected),
+        then the tilt at s happens, then the chain tilts are reversed.  The
+        net effect on every level below depth(s) is the identity, which is
+        asserted.
+        """
+        d = self.depth_of(s)
+        v = self.lset(d + 1)
+        if not v:
+            self.tilt(s, +1)
+            return [(s, +1)]
+        snapshot = {l: self.heart.cls(l) for l in v}
+        word: list[tuple[int, int]] = []
+        guard = 0
+        while True:
+            extenders = sorted(l for l in v if self.heart.ext1(l, s) == 1)
+            if not extenders:
+                break
+            guard += 1
+            if guard > self.cap:
+                raise WallHit("convenient-representative chains did not terminate")
+            word.extend(self.protected_tilt(extenders[0]))
+        self.tilt(s, +1)
+        undo = [(l, -dd) for (l, dd) in reversed(word)]
+        for l, dd in undo:
+            self.tilt(l, dd)
+        if {l: self.heart.cls(l) for l in v} != snapshot:
+            raise AssertionError("protected tilt failed to restore deeper levels")
+        return word + [(s, +1)] + undo
+
+    def settle(self, i: int) -> None:
+        """Re-establish half-plane validity of quotients at levels >= i."""
+        if i < self.L:
+            self.settle(i + 1)
+        quotient = sorted(self.lset(i) - self.lset(i + 1))
+        charge = self.charges[i]
+        steps = 0
+        while True:
+            offenders = [
+                l for l in quotient if not charge[l].in_upper_semiclosed()
+            ]
+            if not offenders:
+                return
+            for l in offenders:
+                if charge[l].is_zero():
+                    raise StabilityError(
+                        f"charge of simple {l} degenerated to zero at level {i}"
+                    )
+            steps += 1
+            if steps > self.cap:
+                raise WallHit(f"tilt loop at level {i} did not terminate")
+            best = offenders[0]  # offenders are sorted: ties keep the smaller label
+            for l in offenders[1:]:
+                if charge[l].cmp_phase(charge[best]) < 0:
+                    best = l
+            self.protected_tilt(best)
+
+    def act_from(self, i0: int, re: Fraction, im: Fraction) -> None:
+        """Apply the action by re + i*im to levels i0..L, in unit chunks.
+
+        One settle pass realizes the torsion-free tilt of a rotation with
+        real part at most one half-turn; larger rotations decompose by the
+        action axiom.  The even rotation part only contributes shift
+        bookkeeping at the top.
+        """
+        even = 2 * (re // 2)
+        residual = re - even
+        if im:
+            self.rotate_from(i0, EC.unit(Fraction(0), im))
+        if even and i0 == 0:
+            self.heart = shift_heart(self.heart, int(even))
+        while residual > 0:
+            step = min(residual, Fraction(1))
+            self.rotate_from(i0, EC.unit(step))
+            self.settle(i0)
+            residual -= step
 
 
-def c_act(sigma: StabilityCondition, lam, max_steps: int | None = None) -> StabilityCondition:
+def c_act(sigma: StabilityCondition, lam) -> StabilityCondition:
     """The action of lam: rotate the charge by e^(-i*pi*lam) and retilt.
 
-    The rotation is applied in real-part chunks of at most one half-turn;
-    one greedy tilt pass per chunk realizes the torsion-free tilt of that
-    chunk, and the chunks compose by the action axiom.
+    The zero-level case of the tilt engine: ``TiltState.act_from`` rotates
+    in real-part chunks of at most one half-turn and settles after each.
     """
-    re, im = as_lambda(lam)
-    even = 2 * (re // 2)
-    residual = re - even
-    heart = shift_heart(sigma.heart, int(even)) if even else sigma.heart
-    scale = EC.exp_minus_i_pi(0, im)
-    charge = {l: scale * v for l, v in sigma.charge}
-    n = heart.rank()
-    cap = max_steps if max_steps is not None else 40 * n * n + 8
-    while residual > 0:
-        step = min(residual, Fraction(1))
-        rot = EC.exp_minus_i_pi(step)
-        charge = {l: rot * v for l, v in charge.items()}
-        heart, charge = _settle_charge(heart, charge, cap)
-        residual -= step
-    return StabilityCondition(heart, tuple(sorted(charge.items())))
+    st = TiltState(sigma.heart, [sigma.charge_dict()])
+    st.act_from(0, *as_lambda(lam))
+    return StabilityCondition(st.heart, tuple(sorted(st.charges[0].items())))
 
 
 @dataclass(frozen=True)

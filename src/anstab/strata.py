@@ -163,7 +163,7 @@ def smooth_graph(n: int) -> EnhancedLevelGraph:
 # Enumeration
 
 
-def _child_set_families(labels: frozenset[int], is_top: bool):
+def _child_set_families(labels: frozenset[int]):
     """Disjoint families of blocks (each of size >= 2) inside ``labels``.
 
     The total block size may reach |labels| only for two or more blocks;
@@ -207,7 +207,7 @@ def _block_structures(labels: frozenset[int], depth_budget: int):
     if depth_budget <= 1:
         yield (labels, ())
         return
-    for fam in _child_set_families(labels, is_top=False):
+    for fam in _child_set_families(labels):
         if not fam:
             yield (labels, ())
             continue
@@ -221,7 +221,7 @@ def _block_structures(labels: frozenset[int], depth_budget: int):
 def _forests(n: int, max_levels: int):
     """Top-level block forests on the zeros 0..n."""
     all_labels = frozenset(range(n + 1))
-    for fam in _child_set_families(all_labels, is_top=True):
+    for fam in _child_set_families(all_labels):
         if not fam:
             continue
         child_options = [list(_block_structures(c, max_levels)) for c in fam]

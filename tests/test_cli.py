@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from anstab.cli import main, parse_braid_word, parse_laurent, parse_family
 from anstab.exact import gr
 
@@ -199,6 +201,22 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         code = main(["frobnicate"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tilt", "--heart", "A3", "--word", "x"],
+            ["tilt", "--heart", "A3", "--word", "5"],
+            ["braid", "--n", "2", "--word", "7"],
+            ["twist-data", "--rho", "[[0]]"],
+            ["exchange-graph", "--heart", "A2", "--radius", "-1"],
+        ],
+    )
+    def test_bad_value_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
 
     def test_bad_family_arity(self, capsys):
         code, _, err = run(

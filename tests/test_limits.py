@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from anstab.exact import EC, gr
+from anstab.exact import EC, gr, solve_in_basis
 from anstab.hearts import forward_tilt, heart_equal, standard_heart
 from anstab.limits import (
     InadmissibleFamily,
@@ -87,6 +87,42 @@ class TestExtractLimit:
         # rotation moved nothing between levels: 1 simple on top, 1 below
         assert len(m.quotient_labels(0)) == 1
         assert len(m.quotient_labels(1)) == 1
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # f_l = 1 + i*t for every l: rotating turns all four below the axis
+            {l: (gr(1), gr(0, 1)) for l in (1, 2, 3, 4)},
+            # mixed: tilts add families together and one level degenerates
+            {1: (gr(1), gr(0, 1)), 2: (gr(-1), gr(0, 1)),
+             3: (gr(1), gr(0, 2)), 4: (gr(2), gr(0, 1))},
+        ],
+    )
+    def test_family_settle(self, values):
+        h = standard_heart(4)
+        zc = LaurentCharge.build({l: {0: c0, 1: c1} for l, (c0, c1) in values.items()})
+        m, rot = extract_limit(h, zc)
+        assert rot == F(1, 64)
+        # the top heart is the input followed by forward tilts only
+        word = m.top.provenance
+        assert word[: len(h.provenance)] == h.provenance
+        extra = word[len(h.provenance):]
+        assert len(extra) == 4 and all(d == +1 for _, d in extra)
+        # every simple lies in H at its level
+        for i in range(m.L + 1):
+            for l in m.quotient_labels(i):
+                assert m.charge(i)[l].in_upper_semiclosed()
+        # tilts preserve the charge as a map on K, so on each basis vector
+        # the level-0 charge is e^(-i*pi/64) times the constant coefficient
+        basis = [list(c) for c in m.top.classes]
+        ch = m.charge(0)
+        for k, l in enumerate(h.labels):
+            e = [1 if j == k else 0 for j in range(h.rank())]
+            coeffs = solve_in_basis(basis, e)
+            value = EC.zero()
+            for x, lbl in zip(coeffs, m.top.labels):
+                value = value + ch[lbl] * x
+            assert value == EC.unit(rot) * EC.from_gaussian(values[l][0])
 
     def test_missing_family(self):
         with pytest.raises(Exception):
