@@ -19,8 +19,10 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .exact import AnstabError
 
-class QuiverError(ValueError):
+
+class QuiverError(AnstabError):
     pass
 
 

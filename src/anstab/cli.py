@@ -23,17 +23,13 @@ from . import limits as LIM
 from . import multiscale as MS
 from . import strata as ST
 from .anquiver import make_linear
-from .exact import LaurentGR, gr
-from .stability import StabilityError, c_act, validate
+from .exact import AnstabError, LaurentGR, gr
+from .stability import StabilityCondition, c_act
 
 SCHEMA = 1
 
 
-class UsageError(ValueError):
-    pass
-
-
-class Failure(ValueError):
+class UsageError(AnstabError):
     pass
 
 
@@ -71,6 +67,8 @@ def parse_laurent(expr: str) -> LaurentGR:
         num = Fraction(int(m.group("num") or 1))
         den = m.group("den") or m.group("den2")
         if den:
+            if int(den) == 0:
+                raise UsageError(f"zero denominator in {term!r}")
             num /= int(den)
         if m.group("sign") == "-":
             num = -num
@@ -217,23 +215,14 @@ def _cmd_exchange_graph(args) -> int:
 
 
 def _cmd_c_act(args) -> int:
-    data = _load_json_arg(args.input)
-    heart = H.Heart.from_json(data["heart"])
-    lam = parse_rational_complex(args.lam)
-    charge = {}
-    for k, v in data["charge"].items():
-        charge[int(k)] = gr(Fraction(v[0], v[1]), Fraction(v[2], v[3]))
-    sigma = validate(heart, charge)
-    result = c_act(sigma, lam)
+    sigma = StabilityCondition.from_json(_load_json_arg(args.input))
+    result = c_act(sigma, parse_rational_complex(args.lam))
     _emit({"schema": SCHEMA, "result": result.to_json()}, args)
     return 0
 
 
 def _cmd_msc_validate(args) -> int:
-    try:
-        m = _msc_from_arg(args.input)
-    except MS.MscError as exc:
-        raise Failure(str(exc)) from exc
+    m = _msc_from_arg(args.input)
     _emit(
         {
             "schema": SCHEMA,
@@ -299,10 +288,7 @@ def _cmd_limit(args) -> int:
         if len(polys) != heart.rank():
             raise UsageError("family arity does not match the heart rank")
         zc = LIM.LaurentCharge.build(dict(zip(heart.labels, polys)))
-    try:
-        m, rot = LIM.extract_limit(heart, zc)
-    except LIM.LimitError as exc:
-        raise Failure(str(exc)) from exc
+    m, rot = LIM.extract_limit(heart, zc)
     _emit(
         {
             "schema": SCHEMA,
@@ -464,9 +450,10 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"malformed JSON near {exc.pos}: {exc.msg}", file=sys.stderr)
         return 2
-    except (Failure, StabilityError, MS.MscError, LIM.LimitError, ST.StrataError) as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 1
+    except AnstabError as exc:
+        kind = "validation failure" if exc.exit_code == 1 else "usage error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import Iterable, Mapping
 
 import mpmath
@@ -45,6 +45,7 @@ def _iv_prec(prec: int):
         iv.prec = old
 
 __all__ = [
+    "AnstabError",
     "GaussianRational",
     "ExactComplex",
     "LaurentGR",
@@ -63,13 +64,35 @@ _IV_START_PREC = 64
 _IV_MAX_PREC = 1 << 14
 
 
-class PrecisionError(ArithmeticError):
+class AnstabError(ValueError):
+    """Base of the package's errors; ``exit_code`` is the CLI's exit status:
+    1 when validation or computation fails, 2 when the input is malformed."""
+
+    exit_code = 2
+
+
+class PrecisionError(AnstabError, ArithmeticError):
     """A sign decision could not be certified.
 
     Raised only for genuinely singular inputs (e.g. a zero test for a sum of
     same-scale atoms with distinct rotations); for nonzero values the interval
     escalation always terminates.
     """
+
+    exit_code = 1
+
+
+def _fractions_from_json(data, count: int) -> list[Fraction]:
+    """Decode ``[n_1, d_1, ..., n_count, d_count]`` into exact fractions."""
+    if not isinstance(data, list) or len(data) != 2 * count:
+        raise AnstabError(f"expected {2 * count} integers, got {data!r}")
+    if 0 in data[1::2]:
+        raise AnstabError(f"zero denominator in {data!r}")
+    return [Fraction(n, d) for n, d in zip(data[::2], data[1::2])]
+
+
+def _fractions_to_json(*qs: Fraction) -> list[int]:
+    return [x for q in qs for x in (q.numerator, q.denominator)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +153,14 @@ class GaussianRational:
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
+
+    def to_json(self) -> list[int]:
+        """``[a, b, c, d]`` for a/b + (c/d) i."""
+        return _fractions_to_json(self.re, self.im)
+
+    @staticmethod
+    def from_json(data) -> "GaussianRational":
+        return GaussianRational(*_fractions_from_json(data, 2))
 
     def __repr__(self) -> str:
         return f"({self.re})+({self.im})i"
@@ -520,6 +551,42 @@ class ExactComplex:
         if p is None:
             return None
         return _norm_pm1(p - r)
+
+    # -- the charge wire format
+
+    def to_json(self):
+        """A Gaussian value as ``[a, b, c, d]``, one atom as ``{"rot", "scale",
+        "gauss"}``, a sum of atoms as ``{"atoms": [...], "re", "im"}`` whose
+        floats are only a derived approximation."""
+        g = self.as_gaussian()
+        if g is not None:
+            return g.to_json()
+        atoms = [
+            {"rot": _fractions_to_json(r), "scale": _fractions_to_json(s), "gauss": c.to_json()}
+            for r, s, c in self.atoms
+        ]
+        if len(atoms) == 1:
+            return atoms[0]
+        z = complex(self)
+        return {"atoms": atoms, "re": z.real, "im": z.imag}
+
+    @classmethod
+    def from_json(cls, data) -> "ExactComplex":
+        """The inverse of ``to_json``; a bare ``{"re", "im"}`` reads as floats."""
+        if isinstance(data, list):
+            return cls.from_gaussian(GaussianRational.from_json(data))
+        if "atoms" in data or "gauss" in data:
+            return cls(
+                (
+                    *_fractions_from_json(a["rot"], 1),
+                    *_fractions_from_json(a["scale"], 1),
+                    GaussianRational.from_json(a["gauss"]),
+                )
+                for a in data.get("atoms", [data])
+            )
+        if not (isfinite(data["re"]) and isfinite(data["im"])):
+            raise AnstabError(f"non-finite charge {data!r}")
+        return cls.rational(Fraction(data["re"]), Fraction(data["im"]))
 
     def __repr__(self) -> str:
         if not self.atoms:

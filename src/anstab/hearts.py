@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .anquiver import QuiverWithPotential, make_linear, mutate
+from .exact import AnstabError, solve_in_basis
 
 
-class HeartError(ValueError):
+class HeartError(AnstabError):
     pass
 
 
@@ -285,8 +286,6 @@ def hearts_in_interval(h0: Heart):
     whose class is nonnegative in the h0 basis; the search closes under such
     tilts and deduplicates by canonical form.
     """
-    from .exact import solve_in_basis
-
     basis = [list(c) for c in h0.classes]
 
     def positive(c: KClass) -> bool:

@@ -28,19 +28,19 @@ from typing import Mapping
 from .anquiver import enumerate_strings
 from .exact import (
     EC,
+    AnstabError,
     GaussianRational,
     LaurentGR,
     _atom_im_sign,
     _atom_re_sign,
-    gr,
 )
 from .hearts import Heart
 from .multiscale import MscError, MultiScaleStab, validate_msc
 from .stability import TiltState
 
 
-class LimitError(ValueError):
-    pass
+class LimitError(AnstabError):
+    exit_code = 1
 
 
 class InadmissibleFamily(LimitError):
@@ -74,25 +74,20 @@ class LaurentCharge:
         raise LimitError(f"no family for simple {label}")
 
     def to_json(self) -> dict:
+        """Per simple, the terms ``[k, a, b, c, d]`` of (a/b + (c/d) i) t^k."""
         return {
-            str(l): [
-                [k, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
-                for k, c in f.coeffs.items()
-            ]
+            str(l): [[k, *c.to_json()] for k, c in f.coeffs.items()]
             for l, f in self.families
         }
 
     @staticmethod
     def from_json(data: Mapping) -> "LaurentCharge":
-        fams = {}
-        for l, terms in data.items():
-            fams[int(l)] = LaurentGR(
-                {
-                    int(k): gr(Fraction(a, b), Fraction(c, d))
-                    for k, a, b, c, d in terms
-                }
-            )
-        return LaurentCharge.build(fams)
+        return LaurentCharge.build(
+            {
+                int(l): {int(k): GaussianRational.from_json(c) for k, *c in terms}
+                for l, terms in data.items()
+            }
+        )
 
 
 def _series_im_sign(rot: Fraction, f: LaurentGR) -> int:
@@ -220,9 +215,6 @@ def extract_limit(heart: Heart, zc: LaurentCharge):
     """
     _check_admissible(heart, zc)
     fams = {l: f for l, f in zc.families}
-    missing = set(heart.labels) - set(fams)
-    if missing:
-        raise LimitError(f"families missing for simples {sorted(missing)}")
     rot = zc.rot
     heart_cur = heart
     for _round in range(len(ROTATION_SCHEDULE) + 1):

@@ -28,16 +28,22 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .anquiver import enumerate_strings, restrict
-from .exact import EC, ExactComplex, solve_in_basis
+from .exact import EC, AnstabError, ExactComplex, solve_in_basis
 from .hearts import Heart, canonical_form
 from .klattice import simple_twist_data
-from .stability import StabilityCondition, TiltState, as_exact_value, as_lambda
+from .stability import (
+    StabilityCondition,
+    TiltState,
+    as_exact_value,
+    as_lambda,
+    class_value,
+)
 
 INFTY = None  # formal -i*infinity plumbing entry
 
 
-class MscError(ValueError):
-    pass
+class MscError(AnstabError):
+    exit_code = 1
 
 
 LevelCharge = tuple[tuple[int, ExactComplex], ...]
@@ -78,15 +84,13 @@ class MultiScaleStab:
         return StabilityCondition(self.top, self.charges[0])
 
     def to_json(self) -> dict:
-        from .stability import _ec_json
-
         return {
             "schema": 1,
             "top_heart": self.top.to_json(),
             "levels": [
                 {
                     "simples": sorted(self.labels(i)),
-                    "charge": {str(l): _ec_json(v) for l, v in self.charges[i]},
+                    "charge": {str(l): v.to_json() for l, v in self.charges[i]},
                 }
                 for i in range(self.L + 1)
             ],
@@ -95,30 +99,10 @@ class MultiScaleStab:
     @staticmethod
     def from_json(data: dict) -> "MultiScaleStab":
         top = Heart.from_json(data["top_heart"])
-        charges = []
-        for lvl in data["levels"]:
-            ch = {}
-            for k, v in lvl["charge"].items():
-                if isinstance(v, list):
-                    ch[int(k)] = EC.rational(
-                        Fraction(v[0], v[1]), Fraction(v[2], v[3])
-                    )
-                elif "gauss" in v:
-                    a, b, c, d = v["gauss"]
-                    ch[int(k)] = EC(
-                        [
-                            (
-                                Fraction(*v["rot"]),
-                                Fraction(*v["scale"]),
-                                EC.rational(Fraction(a, b), Fraction(c, d)).as_gaussian(),
-                            )
-                        ]
-                    )
-                else:
-                    ch[int(k)] = EC.rational(
-                        Fraction(v["re"]), Fraction(v["im"])
-                    )
-            charges.append(ch)
+        charges = [
+            {int(l): EC.from_json(v) for l, v in lvl["charge"].items()}
+            for lvl in data["levels"]
+        ]
         return validate_msc(top, charges)
 
 
@@ -315,16 +299,7 @@ def _same_saturated_span(span1, span2) -> bool:
 
 def _level_value(m: MultiScaleStab, i: int, cls) -> ExactComplex | None:
     """The level-i charge on an ambient class lying in the level-i lattice."""
-    basis = [list(m.top.cls(l)) for l in sorted(m.labels(i))]
-    coeffs = solve_in_basis(basis, list(cls))
-    if coeffs is None:
-        return None
-    ch = m.charge(i)
-    total = EC.zero()
-    for x, l in zip(coeffs, sorted(m.labels(i))):
-        if x:
-            total = total + ch[l] * x
-    return total
+    return class_value(m.top, m.charge(i), cls)
 
 
 def _compare_levels(m1: MultiScaleStab, m2: MultiScaleStab, projective0: bool) -> bool:
@@ -477,14 +452,10 @@ def plumb(m: MultiScaleStab, taus: Sequence) -> MultiScaleStab:
 
 
 def _in_basis_value(heart: Heart, charge: dict[int, ExactComplex], cls) -> ExactComplex:
-    coeffs = solve_in_basis([list(c) for c in heart.classes], list(cls))
-    if coeffs is None:
+    v = class_value(heart, charge, cls)
+    if v is None:
         raise MscError("class outside the heart's lattice span")
-    total = EC.zero()
-    for x, l in zip(coeffs, heart.labels):
-        if x:
-            total = total + charge[l] * x
-    return total
+    return v
 
 
 def is_intermediate(h: Heart, base: Heart) -> bool:
@@ -614,23 +585,14 @@ def in_neighborhood(
             cums[j] = 1.0 + 0.0j
             continue
         i = cand_level_of(j)
-        cand_heart_classes = [
-            list(candidate.top.cls(l)) for l in sorted(candidate.labels(i))
-        ]
-        cand_vals = [
-            candidate.charge(i)[l] for l in sorted(candidate.labels(i))
-        ]
+        cand_charge = candidate.charge(i)
         pairs = []
         for l in sorted(base.labels(j) - base.labels(j + 1)):
-            coeffs = solve_in_basis(cand_heart_classes, list(base.top.cls(l)))
-            if coeffs is None:
+            cval = class_value(candidate.top, cand_charge, base.top.cls(l))
+            if cval is None:
                 return NeighborhoodVerdict(
                     False, f"base level {j} lattice not contained in candidate level {i}"
                 )
-            cval = EC.zero()
-            for x, v in zip(coeffs, cand_vals):
-                if x:
-                    cval = cval + v * x
             pairs.append((base.charge(j)[l], cval))
         if not _proportional(pairs):
             return NeighborhoodVerdict(

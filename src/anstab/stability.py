@@ -22,12 +22,12 @@ from fractions import Fraction
 from typing import Mapping
 
 from .anquiver import enumerate_strings
-from .exact import EC, ExactComplex, GaussianRational, solve_in_basis
+from .exact import EC, AnstabError, ExactComplex, GaussianRational, solve_in_basis
 from .hearts import Heart, KClass, _tilt, shift_heart
 
 
-class StabilityError(ValueError):
-    pass
+class StabilityError(AnstabError):
+    exit_code = 1
 
 
 class WallHit(StabilityError):
@@ -83,37 +83,36 @@ class StabilityCondition:
 
     def value(self, gamma: KClass) -> ExactComplex:
         """The charge of an arbitrary K-class (Z-linear in the simple basis)."""
-        coeffs = solve_in_basis([list(c) for c in self.heart.classes], list(gamma))
-        if coeffs is None:
+        v = class_value(self.heart, self.charge_dict(), gamma)
+        if v is None:
             raise StabilityError("class outside the span of the simples")
-        total = EC.zero()
-        for x, (_, v) in zip(coeffs, self.charge):
-            if x:
-                total = total + v * x
-        return total
+        return v
 
     def to_json(self) -> dict:
         return {
             "heart": self.heart.to_json(),
-            "charge": {str(l): _ec_json(v) for l, v in self.charge},
+            "charge": {str(l): v.to_json() for l, v in self.charge},
         }
 
+    @staticmethod
+    def from_json(data: dict) -> "StabilityCondition":
+        charge = {int(l): EC.from_json(v) for l, v in data["charge"].items()}
+        return validate(Heart.from_json(data["heart"]), charge)
 
-def _ec_json(v: ExactComplex):
-    g = v.as_gaussian()
-    if g is not None:
-        return [
-            g.re.numerator, g.re.denominator, g.im.numerator, g.im.denominator,
-        ]
-    if len(v.atoms) == 1:
-        r, s, c = v.atoms[0]
-        return {
-            "rot": [r.numerator, r.denominator],
-            "scale": [s.numerator, s.denominator],
-            "gauss": [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator],
-        }
-    z = complex(v)
-    return {"re": z.real, "im": z.imag}
+
+def class_value(heart: Heart, charge: Mapping, gamma) -> ExactComplex | None:
+    """The charge of the K-class gamma, Z-linear in the values ``charge``
+    takes on the classes of its simples in ``heart``; None when gamma lies
+    outside their span."""
+    labels = sorted(charge)
+    coeffs = solve_in_basis([list(heart.cls(l)) for l in labels], list(gamma))
+    if coeffs is None:
+        return None
+    total = EC.zero()
+    for x, l in zip(coeffs, labels):
+        if x:
+            total = total + charge[l] * x
+    return total
 
 
 def validate(heart: Heart, values: Mapping[int, object]) -> StabilityCondition:
@@ -359,21 +358,9 @@ def indecomposable_spectrum(sigma: StabilityCondition) -> list[SpectrumEntry]:
     for s in enumerate_strings(h.ext):
         dv = s.dimension_vector(h.ext.vertices)
         cls = tuple(
-            sum(m * c[i] for m, c in zip(dv, _classes_by_vertex(h)))
+            sum(m * h.cls(v)[i] for m, v in zip(dv, h.ext.vertices))
             for i in range(h.rank())
         )
-        v = _value_from_multiplicities(h, dict(sigma.charge), dv)
+        v = sigma.value(cls)
         entries.append(SpectrumEntry(cls, Phase(v), Mass(tuple(v.abs2_parts()), abs(v))))
     return entries
-
-
-def _classes_by_vertex(h: Heart):
-    return [h.cls(v) for v in h.ext.vertices]
-
-
-def _value_from_multiplicities(h: Heart, charge: dict[int, ExactComplex], dv):
-    total = EC.zero()
-    for m, v in zip(dv, h.ext.vertices):
-        if m:
-            total = total + charge[v] * m
-    return total

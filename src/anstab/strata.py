@@ -19,11 +19,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .exact import AnstabError
 from .multiscale import MscError, MultiScaleStab
 
 
-class StrataError(ValueError):
-    pass
+class StrataError(AnstabError):
+    exit_code = 1
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,26 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from anstab.cli import main, parse_braid_word, parse_laurent, parse_family
-from anstab.exact import gr
+from anstab.exact import EC, gr
+from anstab.hearts import canonical_form
+from anstab.stability import StabilityCondition
+
+A2_HEART = {
+    "simples": [{"label": 1, "class": [1, 0]}, {"label": 2, "class": [0, 1]}],
+    "extquiver": {"vertices": [1, 2], "arrows": [[1, 2]], "cycles": []},
+}
+
+
+def a2_sigma(charge1) -> str:
+    return json.dumps({"heart": A2_HEART, "charge": {"1": charge1, "2": [1, 1, 1, 1]}})
+
+
+def a2_msc(charge1) -> str:
+    level = {"simples": [1, 2], "charge": {"1": charge1, "2": [0, 1, 1, 1]}}
+    return json.dumps({"schema": 1, "top_heart": A2_HEART, "levels": [level]})
 
 
 def run(capsys, *argv):
@@ -111,6 +128,19 @@ class TestCommands:
         charge = data["result"]["charge"]
         assert charge["2"] == [-1, 1, 1, 1]
 
+    def test_c_act_reads_its_output(self, capsys):
+        code, out, _ = run(capsys, "c-act", a2_sigma([-2, 1, 1, 1]), "--lam", "1/3")
+        assert code == 0
+        once = json.dumps(json.loads(out)["result"])
+        code, out, _ = run(capsys, "c-act", once, "--lam", "1/3")
+        assert code == 0
+        twice = StabilityCondition.from_json(json.loads(out)["result"])
+        code, out, _ = run(capsys, "c-act", a2_sigma([-2, 1, 1, 1]), "--lam", "2/3")
+        direct = StabilityCondition.from_json(json.loads(out)["result"])
+        assert canonical_form(twice.heart) == canonical_form(direct.heart)
+        for c in direct.heart.classes:
+            assert twice.value(c) == direct.value(c)
+
     def test_msc_validate_and_plumb(self, capsys):
         msc = {
             "schema": 1,
@@ -210,6 +240,16 @@ class TestExitCodes:
             ["braid", "--n", "2", "--word", "7"],
             ["twist-data", "--rho", "[[0]]"],
             ["exchange-graph", "--heart", "A2", "--radius", "-1"],
+            ["msc-validate", a2_msc([1, 0, 1, 1])],
+            ["msc-validate", a2_msc({"re": float("inf"), "im": 1.0})],
+            ["c-act", a2_sigma([1, 0, 1, 1]), "--lam", "1/2"],
+            ["c-act", a2_sigma([-2, 1, 1, 1]), "--lam", "1/0"],
+            ["limit", "--heart", "A2", "--family", "(1/0+it, 1+it)"],
+            ["plumb", a2_msc([-1, 1, 1, 1]), "--tau", "1/0-2i"],
+            [
+                "limit", "--heart", "A2", "--family",
+                '{"1": [[0, 1, 0, 1, 1]], "2": [[0, 1, 1, 1, 1]]}',
+            ],
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv):
@@ -217,6 +257,13 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("usage error: ")
         assert err.count("\n") == 1
+
+    def test_undecidable_sign_is_failure(self, capsys):
+        # e^(-i*pi/3) + e^(i*pi/3) - 1 is zero, but its sign is not certified
+        zero = EC.unit(F(1, 3)) + EC.unit(F(-1, 3)) - EC.rational(1)
+        code, _, err = run(capsys, "msc-validate", a2_msc(zero.to_json()))
+        assert code == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_bad_family_arity(self, capsys):
         code, _, err = run(

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from anstab.exact import (
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=12
 )
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=6)
 
 
 def ec(re, im=0):
@@ -111,6 +113,17 @@ class TestExactComplex:
         big = EC.unit(0, 1) * ec(1)
         assert big.cmp_abs(ec(20)) == 1  # e^{pi} > 20? no: e^pi ~ 23.1
         assert big.cmp_abs(ec(24)) == -1
+
+    @given(
+        st.lists(
+            st.tuples(small_rationals, small_rationals, rationals, rationals),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_json_roundtrip(self, atoms):
+        v = EC([(r, s, gr(a, b)) for r, s, a, b in atoms])
+        assert EC.from_json(json.loads(json.dumps(v.to_json()))) == v
 
     def test_phase_fraction(self):
         assert ec(0, 2).phase_fraction() == F(1, 2)

@@ -105,6 +105,24 @@ class TestValidate:
         assert again.charges == m.charges
 
 
+    def test_json_roundtrip_multi_atom_charges(self):
+        import json
+
+        rng = random.Random(4)
+        checked = 0
+        while checked < 8:
+            m = random_msc(rng, rng.choice([3, 4]), max_levels=1)
+            if m.L != 1:
+                continue
+            out = c_act_msc(plumb(m, [(F(1, 3), F(-1, 2))]), F(1, 5))
+            if all(len(v.atoms) <= 1 for lvl in out.charges for _, v in lvl):
+                continue
+            back = MultiScaleStab.from_json(json.loads(json.dumps(out.to_json())))
+            assert equivalent(back, out)
+            assert back.charges == out.charges
+            checked += 1
+
+
 class TestEquivalence:
     def test_scalar_on_lower_level(self):
         top = forward_tilt(standard_heart(2), 2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anstab.exact import EC, gr
-from anstab.hearts import heart_equal, shift_heart, standard_heart
+from anstab.hearts import Heart, heart_equal, shift_heart, standard_heart
 from anstab.stability import (
     StabilityError,
     c_act,
@@ -48,6 +48,13 @@ class TestPhaseMass:
         s = validate(standard_heart(2), {1: gr(-1, 1), 2: gr(1, 1)})
         assert phase(s, (1, 1)).fraction() == F(1, 2)
         assert mass(s, (1, 1)).exact_square() == 4
+
+    def test_value_with_simples_out_of_label_order(self):
+        h = standard_heart(2)
+        h = Heart(h.labels[::-1], h.classes[::-1], h.ext)
+        s = validate(h, {1: gr(-1, 1), 2: gr(0, 3)})
+        assert s.value((1, 0)) == EC.rational(-1, 1)
+        assert s.value((0, 1)) == EC.rational(0, 3)
 
     def test_zero_charge_phase_raises(self):
         s = validate(standard_heart(2), {1: gr(-1, 1), 2: gr(1, 1)})
