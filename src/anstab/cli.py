@@ -301,8 +301,8 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_strata(args) -> int:
-    graphs = ST.enumerate_graphs(args.n, args.levels)
     if args.poset:
+        graphs = ST.enumerate_graphs(args.n, args.levels)
         keyed, rel = ST.adjacency_poset(graphs, labeled=args.labeled)
         names = {k: f"type{idx}" for idx, k in enumerate(sorted(keyed, key=repr))}
         payload = {
@@ -318,7 +318,7 @@ def _cmd_strata(args) -> int:
         _emit(payload, args)
         return 0
     if args.format == "dot":
-        for g in graphs:
+        for g in ST.enumerate_graphs(args.n, args.levels):
             print(g.to_dot())
         return 0
     payload = ST.census(args.n, args.levels)

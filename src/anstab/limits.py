@@ -90,17 +90,10 @@ class LaurentCharge:
         )
 
 
-def _series_im_sign(rot: Fraction, f: LaurentGR) -> int:
+def _series_sign(atom_sign, rot: Fraction, f: LaurentGR) -> int:
+    """The sign that ``atom_sign`` gives the lowest-order term it does not kill."""
     for k in sorted(f.coeffs):
-        s = _atom_im_sign(rot, f.coeffs[k])
-        if s:
-            return s
-    return 0
-
-
-def _series_re_sign(rot: Fraction, f: LaurentGR) -> int:
-    for k in sorted(f.coeffs):
-        s = _atom_re_sign(rot, f.coeffs[k])
+        s = atom_sign(rot, f.coeffs[k])
         if s:
             return s
     return 0
@@ -110,10 +103,15 @@ def _eventually_in_h(rot: Fraction, f: LaurentGR) -> bool:
     """Whether e^(-i*pi*rot) * f(t) lies in the half plane for all small t > 0."""
     if f.is_zero():
         return False
-    s = _series_im_sign(rot, f)
+    s = _series_sign(_atom_im_sign, rot, f)
     if s:
         return s > 0
-    return _series_re_sign(rot, f) < 0
+    return _series_sign(_atom_re_sign, rot, f) < 0
+
+
+def _on_positive_reals(rot: Fraction, lead) -> bool:
+    """Whether e^(-i*pi*rot) * lead lies on R_{>0}."""
+    return _atom_im_sign(rot, lead) == 0 and _atom_re_sign(rot, lead) > 0
 
 
 @dataclass(frozen=True)
@@ -198,9 +196,7 @@ def _wall_phases_hit(heart: Heart, fams: dict[int, LaurentGR], rot: Fraction,
                 total = total + fams[v].scale(m)
         if total.is_zero():
             continue
-        lead = total.leading()
-        r = rot + lam
-        if _atom_im_sign(r, lead) == 0 and _atom_re_sign(r, lead) > 0:
+        if _on_positive_reals(rot + lam, total.leading()):
             return True
     return False
 
@@ -224,13 +220,7 @@ def extract_limit(heart: Heart, zc: LaurentCharge):
         fams = {l: v.f for l, v in st.charges[0].items()}
         vals = {l: fams[l].valuation() for l in heart_cur.labels}
         distinct = sorted(set(vals.values()))
-        hit = False
-        for l in heart_cur.labels:
-            lead = fams[l].leading()
-            if _atom_im_sign(rot, lead) == 0 and _atom_re_sign(rot, lead) > 0:
-                hit = True
-                break
-        if not hit:
+        if not any(_on_positive_reals(rot, fams[l].leading()) for l in heart_cur.labels):
             charges = []
             for i, v in enumerate(distinct):
                 ch = {}

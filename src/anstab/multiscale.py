@@ -106,19 +106,6 @@ class MultiScaleStab:
         return validate_msc(top, charges)
 
 
-@dataclass(frozen=True)
-class VanishingChain:
-    """Per level: the label subset and its connected components."""
-
-    levels: tuple[tuple[frozenset[int], tuple[frozenset[int], ...]], ...]
-
-    def rho(self) -> list[tuple[int, ...]]:
-        return [
-            tuple(sorted((len(c) for c in comps), reverse=True))
-            for (_, comps) in self.levels
-        ]
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -213,18 +200,12 @@ def validate_msc(top: Heart, level_charges: Sequence[Mapping[int, object]]) -> M
     )
 
 
-def vanishing_chain(m: MultiScaleStab) -> VanishingChain:
-    return VanishingChain(
-        tuple(
-            (m.labels(i), tuple(m.level_components(i)))
-            for i in range(1, m.L + 1)
-        )
-    )
-
-
 def type_rho(m: MultiScaleStab) -> list[tuple[int, ...]]:
     """Component sizes per level, largest first."""
-    return vanishing_chain(m).rho()
+    return [
+        tuple(sorted((len(c) for c in m.level_components(i)), reverse=True))
+        for i in range(1, m.L + 1)
+    ]
 
 
 def normalize_representative(m: MultiScaleStab) -> MultiScaleStab:
@@ -286,14 +267,11 @@ def _same_saturated_span(span1, span2) -> bool:
         return False
     b1 = [list(v) for v in span1]
     b2 = [list(v) for v in span2]
-    for v in b2:
-        x = solve_in_basis(b1, v)
-        if x is None or any(c.denominator != 1 for c in x):
-            return False
-    for v in b1:
-        x = solve_in_basis(b2, v)
-        if x is None or any(c.denominator != 1 for c in x):
-            return False
+    for basis, vectors in ((b1, b2), (b2, b1)):
+        for v in vectors:
+            x = solve_in_basis(basis, v)
+            if x is None or any(c.denominator != 1 for c in x):
+                return False
     return True
 
 

@@ -10,7 +10,9 @@ edge enhancement is forced by the vertex-degree rule
 
 so kappa_e = (#zeros in the subtree below e) + 2.  A graph is therefore the
 same datum as a laminar family of zero subsets (blocks of colliding zeros)
-plus a level map, which is how enumeration is organized.
+plus a level map.  Enumeration generates exactly these: each block tree
+once, then each level map that descends along its edges and leaves no level
+empty, so nothing is built only to be filtered out.
 """
 
 from __future__ import annotations
@@ -164,142 +166,84 @@ def smooth_graph(n: int) -> EnhancedLevelGraph:
 # Enumeration
 
 
-def _child_set_families(labels: frozenset[int]):
-    """Disjoint families of blocks (each of size >= 2) inside ``labels``.
+def _families(pool: list[int], size: int, acc: tuple = ()):
+    """Nonempty disjoint families of blocks (each of size >= 2) in ``pool``.
 
-    The total block size may reach |labels| only for two or more blocks;
-    the empty family is yielded first.
+    Each block is anchored on its smallest element and the anchors increase,
+    so every family comes out once; a single block of all ``size`` labels is
+    left out.
     """
-    yield ()
-    size = len(labels)
+    for i, first in enumerate(pool):
+        later = pool[i + 1:]
+        for r in range(1, len(later) + 1):
+            for combo in itertools.combinations(later, r):
+                fam = acc + (frozenset((first,) + combo),)
+                if len(fam) > 1 or len(fam[0]) < size:
+                    yield fam
+                yield from _families([x for x in later if x not in combo], size, fam)
 
-    # anchor each block on the smallest remaining element to avoid duplicates
-    def rec_ordered(pool: frozenset[int], acc: list[frozenset[int]]):
-        if acc:
-            total = sum(len(b) for b in acc)
-            if total < size or len(acc) >= 2:
-                yield tuple(acc)
-        if not pool:
+
+def _trees(labels: frozenset[int], depth_budget: int):
+    """Nested blocks ``(labels, children)`` at most depth_budget deep."""
+    fams = _families(sorted(labels), len(labels)) if depth_budget > 1 else ()
+    for fam in itertools.chain([()], fams):
+        for kids in itertools.product(*[list(_trees(c, depth_budget - 1)) for c in fam]):
+            yield (labels, kids)
+
+
+def _level_maps(parents: list[int], max_levels: int):
+    """Level tuples, vertex 0 at 0 and every other vertex strictly below its
+    parent, that occupy all of 0..-d for some d <= max_levels."""
+
+    def rec(levels: list[int], d: int):
+        v = len(levels)
+        if v == len(parents):
+            if len(set(levels)) == d + 1:
+                yield tuple(levels)
             return
-        rest = sorted(pool)
-        first = rest[0]
-        # blocks containing the smallest remaining element, or skip it
-        for r in range(1, len(rest)):
-            for combo in itertools.combinations(rest[1:], r):
-                blk = frozenset((first,) + combo)
-                if sum(len(b) for b in acc) + len(blk) > size:
-                    continue
-                yield from rec_ordered(pool - blk, acc + [blk])
-        yield from rec_ordered(pool - {first}, acc)
+        for lv in range(-d, levels[parents[v]]):
+            yield from rec(levels + [lv], d)
 
-    seen = set()
-    for fam in rec_ordered(labels, []):
-        key = frozenset(fam)
-        if key not in seen:
-            seen.add(key)
-            yield fam
-
-
-Block = tuple[frozenset[int], tuple]  # (zero set, children blocks)
-
-
-def _block_structures(labels: frozenset[int], depth_budget: int):
-    """Nested block structures on a block, at most depth_budget levels deep."""
-    if depth_budget <= 1:
-        yield (labels, ())
-        return
-    for fam in _child_set_families(labels):
-        if not fam:
-            yield (labels, ())
-            continue
-        child_options = [
-            list(_block_structures(c, depth_budget - 1)) for c in fam
-        ]
-        for combo in itertools.product(*child_options):
-            yield (labels, tuple(combo))
-
-
-def _forests(n: int, max_levels: int):
-    """Top-level block forests on the zeros 0..n."""
-    all_labels = frozenset(range(n + 1))
-    for fam in _child_set_families(all_labels):
-        if not fam:
-            continue
-        child_options = [list(_block_structures(c, max_levels)) for c in fam]
-        yield from itertools.product(*child_options)
-
-
-def _forest_blocks(forest) -> list[tuple[Block, Block | None]]:
-    """All (block, parent) pairs of a forest; parent None marks top blocks."""
-    out = []
-
-    def walk(block: Block, parent: Block | None):
-        out.append((block, parent))
-        for child in block[1]:
-            walk(child, block)
-
-    for b in forest:
-        walk(b, None)
-    return out
-
-
-def _level_maps(forest, max_levels: int):
-    blocks = _forest_blocks(forest)
-    idx = {id(b): i for i, (b, _) in enumerate(blocks)}
-    parents = [None if p is None else idx[id(p)] for (_, p) in blocks]
-    k = len(blocks)
-    for depth in range(1, max_levels + 1):
-        for assign in itertools.product(range(-depth, 0), repeat=k):
-            if set(assign) != set(range(-depth, 0)):
-                continue
-            ok = True
-            for i, p in enumerate(parents):
-                up = 0 if p is None else assign[p]
-                if assign[i] >= up:
-                    ok = False
-                    break
-            if ok:
-                yield [b for (b, _) in blocks], list(assign)
-
-
-def _graph_from(forest, blocks, levels_of: list[int], n: int) -> EnhancedLevelGraph:
-    index = {id(b): i + 1 for i, b in enumerate(blocks)}
-    levels = [0] + levels_of
-    zeros: list[set[int]] = [set(range(n + 1))] + [set(b[0]) for b in blocks]
-    edges = []
-    for i, b in enumerate(blocks):
-        for child in b[1]:
-            zeros[i + 1] -= child[0]
-        parent = 0
-        for other in blocks:
-            if other is not b and any(c is b for c in other[1]):
-                parent = index[id(other)]
-        edges.append((parent, index[id(b)], len(b[0]) + 2))
-    for b in forest:
-        zeros[0] -= b[0]
-    g = EnhancedLevelGraph(
-        tuple(levels),
-        tuple(sorted(edges)),
-        tuple(tuple(sorted(z)) for z in zeros),
-    )
-    g.validate()
-    return g
+    for d in range(1, max_levels + 1):
+        yield from rec([0], d)
 
 
 def enumerate_graphs(n: int, max_levels: int) -> list[EnhancedLevelGraph]:
     """All labeled enhanced level graphs with 1..max_levels levels below zero.
 
-    Enhancements are forced by the vertex-sum rule, so the enumeration never
-    chooses them; duplicates are impossible because a graph determines its
-    laminar family of zero subsets and the level map.
+    A graph is a tree of blocks: the top vertex holds all the zeros, and each
+    child block is a set of at least two zeros colliding below its parent.
+    The trees come from ``_trees`` and their vertices are numbered in
+    preorder; the level maps of each tree come from ``_level_maps``, which
+    only emits valid ones.  Enhancements are forced by the vertex-sum rule,
+    so nothing else is chosen, and no graph can repeat because it determines
+    its block tree and its level map.
     """
     if n < 1:
         raise StrataError("need at least two zeros")
     out = []
     seen = set()
-    for forest in _forests(n, max_levels):
-        for blocks, assign in _level_maps(forest, max_levels):
-            g = _graph_from(forest, blocks, assign, n)
+    for tree in _trees(frozenset(range(n + 1)), max_levels + 1):
+        if not tree[1]:
+            continue
+        parents: list[int] = [0]  # the top's entry is never read
+        zeros: list[tuple[int, ...]] = []
+        edges = []
+
+        def walk(block, v: int):
+            labels, kids = block
+            zeros.append(tuple(sorted(labels.difference(*(k[0] for k in kids)))))
+            for kid in kids:
+                w = len(zeros)
+                parents.append(v)
+                edges.append((v, w, len(kid[0]) + 2))
+                walk(kid, w)
+
+        walk(tree, 0)
+        edges.sort()
+        for levels in _level_maps(parents, max_levels):
+            g = EnhancedLevelGraph(levels, tuple(edges), tuple(zeros))
+            g.validate()
             key = canonical_key(g, labeled=True)
             if key in seen:
                 raise AssertionError("duplicate labeled graph generated")

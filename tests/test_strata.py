@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -5,6 +6,7 @@ import time
 
 import pytest
 
+from anstab import strata
 from anstab.exact import gr
 from anstab.hearts import forward_tilt, standard_heart
 from anstab.klattice import simple_twist_data
@@ -83,6 +85,46 @@ class TestEnumeration:
         g = enumerate_graphs(3, 1)[0]
         assert g.pole_order == -8
         assert smooth_graph(2).pole_order == -7
+
+    @pytest.mark.parametrize(
+        "n, max_levels, count, digest",
+        [
+            (4, 3, 435, "e08bf7177f634a70e0356dcb5819879e17c4e79b980efe6b4bbb601b089439db"),
+            (5, 2, 2066, "f441105902520a3d39bb18fce0fd9cf8e88318a867ae9f4ed3a8be134e17f278"),
+            (6, 1, 875, "e6191e1534b7216a99d7910bd00b8f66eff17a566dbb959879e4823956165d07"),
+        ],
+    )
+    def test_output_pinned(self, n, max_levels, count, digest):
+        # the graphs, their vertex numbering and their order, as first recorded
+        gs = enumerate_graphs(n, max_levels)
+        text = json.dumps([g.to_json() for g in gs])
+        assert len(gs) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_one_level_counts_are_bell_numbers(self):
+        # a one-level graph is a set partition of the n+1 zeros whose
+        # singletons sit on the top vertex, minus the partition into
+        # singletons (no edge) and the one block (the top keeps no zero)
+        bell = [1]
+        row = [1]
+        for _ in range(8):
+            row = list(itertools.accumulate(row, initial=row[-1]))
+            bell.append(row[0])
+        assert bell[:6] == [1, 1, 2, 5, 15, 52]
+        for n in range(2, 8):
+            assert len(enumerate_graphs(n, 1)) == bell[n + 1] - 2, n
+
+    def test_duplicate_guard(self, monkeypatch):
+        level_maps = strata._level_maps
+
+        def twice(parents, max_levels):
+            for levels in level_maps(parents, max_levels):
+                yield levels
+                yield levels
+
+        monkeypatch.setattr(strata, "_level_maps", twice)
+        with pytest.raises(AssertionError, match="duplicate"):
+            enumerate_graphs(3, 1)
 
 
 class TestUndegeneration:
