@@ -301,6 +301,8 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_strata(args) -> int:
+    if args.levels < 1:
+        raise UsageError(f"--levels must be at least 1, not {args.levels}")
     if args.poset:
         graphs = ST.enumerate_graphs(args.n, args.levels)
         keyed, rel = ST.adjacency_poset(graphs, labeled=args.labeled)

@@ -302,10 +302,11 @@ class ExactComplex:
     """A finite sum of exactly-representable complex atoms.
 
     Immutable.  Atoms are stored normalized with rot in [0, 1/2); two values
-    are equal iff their atom multisets agree, which is sound because distinct
-    normalized atoms cannot cancel pairwise (a cancellation would force
-    e^(i*pi*(rot-rot')) or e^(pi*(scale-scale')) to be a nonreal Gaussian
-    rational resp. an algebraic number).
+    are equal iff their atom multisets agree.  Normalized atom pairs cannot
+    cancel (a cancellation would force e^(i*pi*(rot-rot')) or
+    e^(pi*(scale-scale')) to be a nonreal Gaussian rational resp. an
+    algebraic number); a cancellation among three or more same-scale atoms
+    is not yet detected.
     """
 
     __slots__ = ("atoms",)
@@ -421,11 +422,11 @@ class ExactComplex:
                 return 0
             if len(nonzero) == 1:
                 return next(iter(nonzero.values()))
-        # numerical refinement; sound because a nonzero mixed sum of
-        # distinct-scale groups cannot vanish
-        return self._iv_part_sign(part, allow_zero=bool(undecided))
+        # numerical refinement; a sum of distinct-scale groups with nonzero
+        # signs cannot vanish, but a same-scale group may
+        return self._iv_part_sign(part)
 
-    def _iv_part_sign(self, part: str, allow_zero: bool) -> int:
+    def _iv_part_sign(self, part: str) -> int:
         prec = _IV_START_PREC
         while prec <= _IV_MAX_PREC:
             with _iv_prec(prec):
@@ -443,13 +444,8 @@ class ExactComplex:
             if sign is not None and sign != 0:
                 return sign
             prec *= 2
-        if allow_zero:
-            raise PrecisionError(
-                "sign of same-scale mixed-rotation sum could not be certified"
-            )
-        # all exact group signs were zero but mixed; the independence
-        # argument says the value is zero
-        return 0
+        # a nonzero value may still lie closer to 0 than the cap resolves
+        raise PrecisionError(f"sign of {part} not certified at {_IV_MAX_PREC} bits")
 
     def im_sign(self) -> int:
         return self._signed_part_sign("im")

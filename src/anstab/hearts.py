@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .anquiver import QuiverWithPotential, make_linear, mutate
+from .anquiver import QuiverWithPotential, _canon_cycle, make_linear, mutate
 from .exact import AnstabError, solve_in_basis
 
 
@@ -161,12 +161,7 @@ def canonical_form(h: Heart):
     classes = tuple(h.classes[i] for i in order)
     arrows = tuple(sorted((relabel[a], relabel[b]) for (a, b) in h.ext.arrows))
     cycles = frozenset(
-        min(
-            tuple(
-                tuple((relabel[a], relabel[b]) for (a, b) in cyc[i:] + cyc[:i])
-            )
-            for i in range(3)
-        )
+        _canon_cycle(tuple((relabel[a], relabel[b]) for (a, b) in cyc))
         for cyc in h.ext.cycles
     )
     return (classes, arrows, cycles)

@@ -10,14 +10,18 @@ edge enhancement is forced by the vertex-degree rule
 
 so kappa_e = (#zeros in the subtree below e) + 2.  A graph is therefore the
 same datum as a laminar family of zero subsets (blocks of colliding zeros)
-plus a level map.  Enumeration generates exactly these: each block tree
-once, then each level map that descends along its edges and leaves no level
-empty, so nothing is built only to be filtered out.
+plus a level map, and it is stored as one: a level, a parent and the zero
+labels per vertex, numbered parent-first.  Child lists and enhancements come
+from one backward pass over the parents, and the edge triples are derived
+for readers of the JSON and dot output.  Enumeration generates exactly these
+graphs: each block tree once, then each level map that descends along its
+edges and leaves no level empty, so nothing is built only to be filtered out.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,11 +35,12 @@ class StrataError(AnstabError):
 
 @dataclass(frozen=True)
 class EnhancedLevelGraph:
-    """Leveled tree with zero legs; vertex 0 is the top and carries the pole."""
+    """Leveled tree with zero legs; vertex 0 is the top and carries the pole,
+    and every other vertex v hangs below an earlier vertex parents[v] < v."""
 
-    levels: tuple[int, ...]                   # per vertex, <= 0; levels[0] == 0
-    edges: tuple[tuple[int, int, int], ...]   # (upper vertex, lower vertex, kappa)
-    zeros: tuple[tuple[int, ...], ...]        # zero labels per vertex
+    levels: tuple[int, ...]                 # per vertex, <= 0; levels[0] == 0
+    parents: tuple[int, ...]                # parents[0] == -1, 0 <= parents[v] < v
+    zeros: tuple[tuple[int, ...], ...]      # zero labels per vertex
 
     @property
     def n(self) -> int:
@@ -52,53 +57,47 @@ class EnhancedLevelGraph:
     def vertex_count(self) -> int:
         return len(self.levels)
 
-    def children(self, v: int) -> list[tuple[int, int]]:
-        return [(w, k) for (u, w, k) in self.edges if u == v]
+    def kappas(self) -> list[int]:
+        """(zeros below v) + 2 per vertex v: the enhancement of the edge above
+        v, and n + 3 = -pole_order - 2 at the top, where the pole stands in
+        for that edge.  One backward pass, children before parents."""
+        kappa = [len(z) + 2 for z in self.zeros]
+        for v in range(len(kappa) - 1, 0, -1):
+            kappa[self.parents[v]] += kappa[v] - 2
+        return kappa
 
-    def parent_edge(self, v: int) -> tuple[int, int] | None:
-        for (u, w, k) in self.edges:
-            if w == v:
-                return (u, k)
-        return None
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """(upper vertex, lower vertex, kappa), sorted."""
+        kappa = self.kappas()
+        return tuple(sorted((self.parents[v], v, kappa[v]) for v in range(1, len(kappa))))
 
     def vertex_order_sum(self, v: int) -> int:
-        total = len(self.zeros[v])  # each zero has order 1
-        if v == 0:
-            total += self.pole_order
-        for (_, k) in self.children(v):
-            total += k - 2
-        pe = self.parent_edge(v)
-        if pe is not None:
-            total += -pe[1] - 2
-        return total
+        kappa = self.kappas()
+        below = sum(kappa[w] - 2 for w in range(v + 1, len(kappa)) if self.parents[w] == v)
+        return len(self.zeros[v]) + below - kappa[v] - 2
 
     def validate(self) -> None:
-        if not self.levels or self.levels[0] != 0:
-            raise StrataError("vertex 0 must exist at level 0")
-        if len(self.edges) != len(self.levels) - 1:
-            raise StrataError("the underlying graph must be a tree")
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for (w, _) in self.children(v):
-                if w in seen:
-                    raise StrataError("the underlying graph must be a tree")
-                seen.add(w)
-                frontier.append(w)
-        if len(seen) != len(self.levels):
-            raise StrataError("the underlying graph must be connected")
-        for (u, w, k) in self.edges:
-            if self.levels[u] <= self.levels[w]:
+        """Check what the representation leaves open; it forces the
+        enhancements and the vertex sums itself."""
+        count = len(self.levels)
+        if not count or self.levels[0] != 0 or self.parents[:1] != (-1,):
+            raise StrataError("vertex 0 must be the top, at level 0")
+        if len(self.parents) != count or len(self.zeros) != count:
+            raise StrataError("levels, parents and zeros must list every vertex")
+        special = [len(z) + 1 for z in self.zeros]  # legs plus upper edge or pole
+        for v in range(1, count):
+            u = self.parents[v]
+            if not 0 <= u < v:
+                raise StrataError(f"vertex {v} must hang below an earlier vertex")
+            if self.levels[u] <= self.levels[v]:
                 raise StrataError("edges must descend strictly between levels")
-            if k < 4:
-                raise StrataError("enhancements must be at least 4 here")
-        occupied = set(self.levels)
-        if occupied != set(range(-self.depth, 1)):
+            special[u] += 1
+        if set(self.levels) != set(range(-self.depth, 1)):
             raise StrataError("levels must occupy 0..-L without gaps")
-        for v in range(len(self.levels)):
-            if self.vertex_order_sum(v) != -4:
-                raise StrataError(f"vertex {v} order sum is not -4")
+        for v, s in enumerate(special):
+            if s < 3:
+                raise StrataError(f"vertex {v} is unstable: {s} special points")
         labels = sorted(l for z in self.zeros for l in z)
         if labels != list(range(len(labels))):
             raise StrataError("zero labels must be 0..n")
@@ -118,12 +117,30 @@ class EnhancedLevelGraph:
 
     @staticmethod
     def from_json(data: dict) -> "EnhancedLevelGraph":
+        """Read a graph; its edges must number each child after its one
+        parent and carry the enhancements the zeros force."""
+        verts = data["vertices"]
+        parents = [-1] * len(verts)
+        for u, w, _ in data["edges"]:
+            if not 0 < w < len(verts):
+                raise StrataError(f"edge {u}->{w} does not end at a lower vertex")
+            if parents[w] != -1:
+                raise StrataError(f"vertex {w} has two parents")
+            if not 0 <= u < w:
+                raise StrataError(f"vertex {w} is numbered before its parent {u}")
+            parents[w] = u
         g = EnhancedLevelGraph(
-            tuple(v["level"] for v in data["vertices"]),
-            tuple(tuple(e) for e in data["edges"]),
-            tuple(tuple(v["zeros"]) for v in data["vertices"]),
+            tuple(v["level"] for v in verts),
+            tuple(parents),
+            tuple(tuple(v["zeros"]) for v in verts),
         )
         g.validate()
+        kappa = g.kappas()
+        for u, w, k in data["edges"]:
+            if k != kappa[w]:
+                raise StrataError(
+                    f"edge {u}->{w} has kappa {k}, not (zeros below) + 2 = {kappa[w]}"
+                )
         return g
 
     def to_dot(self) -> str:
@@ -148,18 +165,20 @@ class EnhancedLevelGraph:
 
 
 def canonical_key(g: EnhancedLevelGraph, labeled: bool = False):
-    """Tree-recursive canonical form; labeled keys keep the zero label sets."""
-
-    def enc(v: int):
-        kids = tuple(sorted((k, enc(w)) for (w, k) in g.children(v)))
+    """Tree-recursive canonical form, built children first; labeled keys keep
+    the zero label sets."""
+    kappa = g.kappas()
+    kids: list[list] = [[] for _ in g.levels]
+    for v in range(len(kids) - 1, -1, -1):
         legs = tuple(sorted(g.zeros[v])) if labeled else len(g.zeros[v])
-        return (g.levels[v], legs, kids)
-
-    return enc(0)
+        key = (g.levels[v], legs, tuple(sorted(kids[v])))
+        if v:
+            kids[g.parents[v]].append((kappa[v], key))
+    return key
 
 
 def smooth_graph(n: int) -> EnhancedLevelGraph:
-    return EnhancedLevelGraph((0,), (), (tuple(range(n + 1)),))
+    return EnhancedLevelGraph((0,), (-1,), (tuple(range(n + 1)),))
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +233,11 @@ def enumerate_graphs(n: int, max_levels: int) -> list[EnhancedLevelGraph]:
     A graph is a tree of blocks: the top vertex holds all the zeros, and each
     child block is a set of at least two zeros colliding below its parent.
     The trees come from ``_trees`` and their vertices are numbered in
-    preorder; the level maps of each tree come from ``_level_maps``, which
-    only emits valid ones.  Enhancements are forced by the vertex-sum rule,
-    so nothing else is chosen, and no graph can repeat because it determines
-    its block tree and its level map.
+    preorder, which is parent-first; the level maps of each tree come from
+    ``_level_maps``, which only emits valid ones.  Enhancements are forced by
+    the vertex-sum rule, so nothing else is chosen, and no graph can repeat
+    because it determines its block tree and its level map.  The graphs of
+    one tree share its ``parents`` and ``zeros`` tuples.
     """
     if n < 1:
         raise StrataError("need at least two zeros")
@@ -226,9 +246,8 @@ def enumerate_graphs(n: int, max_levels: int) -> list[EnhancedLevelGraph]:
     for tree in _trees(frozenset(range(n + 1)), max_levels + 1):
         if not tree[1]:
             continue
-        parents: list[int] = [0]  # the top's entry is never read
+        parents: list[int] = [-1]
         zeros: list[tuple[int, ...]] = []
-        edges = []
 
         def walk(block, v: int):
             labels, kids = block
@@ -236,18 +255,16 @@ def enumerate_graphs(n: int, max_levels: int) -> list[EnhancedLevelGraph]:
             for kid in kids:
                 w = len(zeros)
                 parents.append(v)
-                edges.append((v, w, len(kid[0]) + 2))
                 walk(kid, w)
 
         walk(tree, 0)
-        edges.sort()
+        shared = (tuple(parents), tuple(zeros))
         for levels in _level_maps(parents, max_levels):
-            g = EnhancedLevelGraph(levels, tuple(edges), tuple(zeros))
+            g = EnhancedLevelGraph(levels, *shared)
             g.validate()
-            key = canonical_key(g, labeled=True)
-            if key in seen:
+            if g in seen:
                 raise AssertionError("duplicate labeled graph generated")
-            seen.add(key)
+            seen.add(g)
             out.append(g)
     return out
 
@@ -280,37 +297,23 @@ def undegenerate(g: EnhancedLevelGraph, passages: Iterable[int]) -> EnhancedLeve
     def new_level(old: int) -> int:
         return -len([p for p in range(1, -old + 1) if p not in removed])
 
-    parent = list(range(g.vertex_count()))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    surviving = []
-    for (u, w, k) in g.edges:
-        crossed = set(range(-g.levels[u] + 1, -g.levels[w] + 1))
-        if crossed <= removed:
-            parent[find(w)] = find(u)
-        else:
-            surviving.append((u, w, k))
-    reps = sorted({find(v) for v in range(g.vertex_count())}, key=lambda r: (find(r) != find(0), r))
-    index = {r: i for i, r in enumerate(reps)}
-    levels: list[int | None] = [None] * len(reps)
-    zeros: list[list[int]] = [[] for _ in reps]
-    for v in range(g.vertex_count()):
-        r = index[find(v)]
-        zeros[r].extend(g.zeros[v])
+    # parent-first numbering: a vertex whose upper edge is contracted joins
+    # the new vertex of its parent, seen before it; the others open one
+    new = [0] * g.vertex_count()
+    levels, parents, zeros = [0], [-1], [list(g.zeros[0])]
+    for v in range(1, len(new)):
+        u = g.parents[v]
         lv = new_level(g.levels[v])
-        if levels[r] is not None and levels[r] != lv:
-            raise AssertionError("merged vertices must land on one level")
-        levels[r] = lv
-    edges = tuple(
-        sorted((index[find(u)], index[find(w)], k) for (u, w, k) in surviving)
-    )
+        if lv == levels[new[u]]:
+            new[v] = new[u]
+            zeros[new[v]].extend(g.zeros[v])
+        else:
+            new[v] = len(levels)
+            levels.append(lv)
+            parents.append(new[u])
+            zeros.append(list(g.zeros[v]))
     out = EnhancedLevelGraph(
-        tuple(levels), edges, tuple(tuple(sorted(z)) for z in zeros)
+        tuple(levels), tuple(parents), tuple(tuple(sorted(z)) for z in zeros)
     )
     out.validate()
     return out
@@ -360,52 +363,33 @@ def double_cover(g: EnhancedLevelGraph) -> DoubleCover:
     from the abelian order sums.
     """
     g.validate()
-    sheets = []
-    for v in range(g.vertex_count()):
-        odd = bool(g.zeros[v])
-        if v == 0 and g.pole_order % 2 != 0:
-            odd = True
-        for (_, k) in g.children(v):
-            if k % 2 == 1:
-                odd = True
-        pe = g.parent_edge(v)
-        if pe is not None and pe[1] % 2 == 1:
-            odd = True
-        sheets.append(1 if odd else 2)
+    kappa = g.kappas()
+    # the top's kappa, n + 3, has the parity of its pole -(n + 5)
+    odd = [bool(z) or k % 2 == 1 for z, k in zip(g.zeros, kappa)]
+    for v in range(1, len(odd)):
+        if kappa[v] % 2 == 1:
+            odd[g.parents[v]] = True
+    sheets = [1 if o else 2 for o in odd]
+    zero_orders = tuple(tuple(2 for _ in z) for z in g.zeros)
+    total = [sum(z) for z in zero_orders]
+    p = g.pole_order
+    # for an even pole on a single-sheet vertex both half-order poles live
+    # on the one preimage
+    total[0] += (p + 1) if p % 2 != 0 else p // 2 * (1 if sheets[0] == 2 else 2)
     edge_data = []
     for idx, (u, w, k) in enumerate(g.edges):
-        if k % 2 == 0:
-            edge_data.append((idx, 2, k // 2))
-        else:
-            edge_data.append((idx, 1, k))
-    zero_orders = tuple(tuple(2 for _ in g.zeros[v]) for v in range(g.vertex_count()))
-    genus = []
-    for v in range(g.vertex_count()):
-        total = sum(zero_orders[v])
-        if v == 0:
-            p = g.pole_order
-            total += (p + 1) if p % 2 != 0 else p // 2 * (1 if sheets[0] == 2 else 2)
-            # for an even pole on a single-sheet vertex both half-order poles
-            # live on the one preimage
-        for (idx, (u, w, k)) in enumerate(g.edges):
-            esheets, khat = (2, k // 2) if k % 2 == 0 else (1, k)
-            if u == v:
-                mult = esheets if sheets[v] == 1 else 1
-                total += mult * (khat - 1)
-            if w == v:
-                mult = esheets if sheets[v] == 1 else 1
-                total += mult * (-khat - 1)
-        genus.append((total + 2) // 2)
-    return DoubleCover(g, tuple(sheets), tuple(edge_data), zero_orders, tuple(genus))
+        esheets, khat = (2, k // 2) if k % 2 == 0 else (1, k)
+        edge_data.append((idx, esheets, khat))
+        total[u] += (esheets if sheets[u] == 1 else 1) * (khat - 1)
+        total[w] += (esheets if sheets[w] == 1 else 1) * (-khat - 1)
+    genus = tuple((t + 2) // 2 for t in total)
+    return DoubleCover(g, tuple(sheets), tuple(edge_data), zero_orders, genus)
 
 
 def prong_count(g: EnhancedLevelGraph) -> tuple[int, list[int]]:
     """Product of the enhancements over all (vertical) edges."""
     per_edge = [k for (_, _, k) in g.edges]
-    total = 1
-    for k in per_edge:
-        total *= k
-    return total, per_edge
+    return math.prod(per_edge), per_edge
 
 
 # ---------------------------------------------------------------------------
@@ -422,52 +406,34 @@ def from_msc(m: MultiScaleStab) -> EnhancedLevelGraph:
     """
     n = m.top.rank()
     comps_by_level = [m.level_components(i) for i in range(1, m.L + 1)]
-    blocks: dict[frozenset[int], dict] = {}
-    for i0, comps in enumerate(comps_by_level):
+    first: dict[frozenset[int], int] = {}
+    deepest: dict[frozenset[int], int] = {}
+    for i, comps in enumerate(comps_by_level, start=1):
         for comp in comps:
-            if comp in blocks:
-                blocks[comp]["deepest"] = i0 + 1
-            else:
-                blocks[comp] = {"first": i0 + 1, "deepest": i0 + 1}
-    # runs must be contiguous; a valid chain guarantees it
-    order = sorted(blocks, key=lambda c: (blocks[c]["first"], min(c)))
-    index = {comp: i + 1 for i, comp in enumerate(order)}
-    levels = [0] + [-blocks[comp]["deepest"] for comp in order]
-    parents = []
-    for comp in order:
-        first = blocks[comp]["first"]
-        if first == 1:
-            parents.append(0)
-        else:
-            enclosing = next(
-                c for c in comps_by_level[first - 2] if comp < c
-            )
-            parents.append(index[enclosing])
-    # distribute zero labels: component of size s owns s+1 zeros minus children
-    counts = [0] * (len(order) + 1)
-    for i, comp in enumerate(order):
-        child_zero_total = sum(
-            len(c) + 1
-            for j, c in enumerate(order)
-            if parents[j] == i + 1
-        )
-        counts[i + 1] = (len(comp) + 1) - child_zero_total
-    counts[0] = (n + 1) - sum(
-        len(c) + 1 for j, c in enumerate(order) if parents[j] == 0
-    )
+            first.setdefault(comp, i)
+            deepest[comp] = i
+    # runs must be contiguous; a valid chain guarantees it.  Sorting by the
+    # first level numbers every vertex after the one enclosing it.
+    order = sorted(first, key=lambda c: (first[c], min(c)))
+    index = {comp: v for v, comp in enumerate(order, start=1)}
+    parents = [-1] + [
+        index[next(c for c in comps_by_level[first[comp] - 2] if comp < c)]
+        if first[comp] > 1 else 0
+        for comp in order
+    ]
+    # a component of size s owns s+1 zeros, minus those of its children
+    sizes = [n + 1] + [len(comp) + 1 for comp in order]
+    counts = list(sizes)
+    for v in range(1, len(sizes)):
+        counts[parents[v]] -= sizes[v]
     if min(counts) < 0:
         raise MscError("invalid nesting: zero counts became negative")
-    zeros = []
-    next_label = 0
-    for c in counts:
-        zeros.append(tuple(range(next_label, next_label + c)))
-        next_label += c
-    edges = tuple(
-        sorted(
-            (parents[i], i + 1, len(comp) + 3) for i, comp in enumerate(order)
-        )
+    starts = [0, *itertools.accumulate(counts)]
+    g = EnhancedLevelGraph(
+        (0, *(-deepest[comp] for comp in order)),
+        tuple(parents),
+        tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:])),
     )
-    g = EnhancedLevelGraph(tuple(levels), edges, tuple(zeros))
     g.validate()
     return g
 

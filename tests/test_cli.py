@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,41 @@ def a2_sigma(charge1) -> str:
 def a2_msc(charge1) -> str:
     level = {"simples": [1, 2], "charge": {"1": charge1, "2": [0, 1, 1, 1]}}
     return json.dumps({"schema": 1, "top_heart": A2_HEART, "levels": [level]})
+
+
+# Zero, negative, non-numeric and malformed values, offered to every option.
+FUZZ_VALUES = [
+    "0", "-1", "-7", "x", "", "1/0", "nan", "A0", "A-1", "[]", "{}",
+    "{not json", "(", ")^3", "1,,2", "[[0]]", "[[1,-1]]", "(1 2", "i/0",
+]
+
+
+def fuzz_argvs(seed: int, count: int) -> list[list[str]]:
+    """Seeded argvs for every subcommand; each option takes one of a few good
+    values (small sizes only) or, half the time, one of ``FUZZ_VALUES``."""
+    rng = random.Random(seed)
+
+    def pick(*good):
+        return rng.choice(FUZZ_VALUES if rng.random() < 0.5 else good)
+
+    good_msc = a2_msc([-1, 1, 1, 1])
+    makers = [
+        lambda: ["tilt", "--heart", pick("A2", "A3"), "--word", pick("1,-2", "2,2,-1", "9")],
+        lambda: ["exchange-graph", "--heart", pick("A2", "A3"), "--radius", pick("1", "3")],
+        lambda: ["c-act", pick(a2_sigma([-1, 1, 1, 1]), a2_sigma([1, 0, 1, 1])),
+                 "--lam", pick("1/2", "1/3+1/2i", "i")],
+        lambda: ["msc-validate", pick(good_msc, a2_msc([1, 0, 1, 1]))],
+        lambda: ["plumb", pick(good_msc), "--tau", pick("1/4-2i", "inf", "1/4-2i;1")],
+        lambda: ["defect", pick(good_msc), "--lam", pick("1/4;i/2"), "--tau", pick("1/4-3i")],
+        lambda: ["limit", "--heart", pick("A2", "A3"),
+                 "--family", pick("(-1+it, 1+it)", "(t, 1)", "(0, 0)", "(-1+it)")],
+        lambda: ["strata", "--n", pick("2", "4"), "--levels", pick("1", "3"),
+                 *rng.choice([[], ["--poset"], ["--labeled"], ["--format", "dot"],
+                              ["--format", "table"]])],
+        lambda: ["braid", "--n", pick("2", "3"), "--word", pick("(1 2)^3", "1 2^-1", "[[1, 1]]")],
+        lambda: ["twist-data", "--rho", pick("[[1,1]]", "[[2],[1]]", "[[1],[1,1]]")],
+    ]
+    return [rng.choice(makers)() for _ in range(count)]
 
 
 def run(capsys, *argv):
@@ -240,6 +276,8 @@ class TestExitCodes:
             ["braid", "--n", "2", "--word", "7"],
             ["twist-data", "--rho", "[[0]]"],
             ["exchange-graph", "--heart", "A2", "--radius", "-1"],
+            ["strata", "--n", "3", "--levels", "0"],
+            ["strata", "--n", "3", "--levels", "-1"],
             ["msc-validate", a2_msc([1, 0, 1, 1])],
             ["msc-validate", a2_msc({"re": float("inf"), "im": 1.0})],
             ["c-act", a2_sigma([1, 0, 1, 1]), "--lam", "1/2"],
@@ -270,3 +308,9 @@ class TestExitCodes:
             capsys, "limit", "--heart", "A3", "--family", "(-1+it, 1+it)"
         )
         assert code == 2
+
+    def test_fuzzed_arguments_exit_cleanly(self, capsys):
+        for argv in fuzz_argvs(seed=6, count=400):
+            code = main(argv)
+            capsys.readouterr()
+            assert code in (0, 1, 2), argv

@@ -3,11 +3,14 @@ import json
 import math
 from fractions import Fraction as F
 
+import mpmath
+import pytest
 from hypothesis import given, strategies as st
 
 from anstab.exact import (
     EC,
     LaurentGR,
+    PrecisionError,
     gr,
     mat_det,
     phase_cmp_rational,
@@ -99,6 +102,18 @@ class TestExactComplex:
         assert v.im_sign() == 1
         w = ec(0, 1) + EC.unit(0, 3) * ec(0, -1)    # i - e^{3pi} i
         assert w.im_sign() == -1
+
+    def test_sign_beyond_the_cap_is_not_zero(self):
+        # e^pi - p/2^17000 with p = floor(e^pi * 2^17000): nonzero, but closer
+        # to 0 than the interval cap resolves, so no sign may be reported
+        with mpmath.workprec(17100):
+            p = int(mpmath.floor(mpmath.exp(mpmath.pi) * mpmath.mpf(2) ** 17000))
+        x = EC.unit(0, 1) - EC.rational(F(p, 2**17000))
+        assert not x.is_zero()
+        with pytest.raises(PrecisionError):
+            x.re_sign()
+        with pytest.raises(PrecisionError):
+            (-x).in_upper_semiclosed()
 
     def test_phase_cmp(self):
         a, b = ec(-1, 1), ec(1, 1)

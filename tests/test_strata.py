@@ -27,6 +27,17 @@ from anstab.strata import (
 )
 
 
+def graph_json(levels, zeros, edges):
+    return {
+        "schema": 1,
+        "vertices": [
+            {"level": lv, "zeros": list(z), "pole": i == 0}
+            for i, (lv, z) in enumerate(zip(levels, zeros))
+        ],
+        "edges": [list(e) for e in edges],
+    }
+
+
 def graphs_by_depth(n, max_levels):
     out = {}
     for g in enumerate_graphs(n, max_levels):
@@ -278,6 +289,30 @@ class TestSerialization:
         assert canonical_key(
             EnhancedLevelGraph.from_json(g.to_json()), labeled=True
         ) == canonical_key(g, labeled=True)
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            # a middle vertex with no zeros and one child
+            (graph_json((0, -1, -2), ((), (), (0, 1)), ((0, 1, 4), (1, 2, 4))), "unstable"),
+            # a top vertex with no zeros and one child
+            (graph_json((0, -1), ((), (0, 1, 2)), ((0, 1, 5),)), "unstable"),
+            (graph_json((0, -1), ((0,), (1, 2)), ((0, 1, 5),)), "kappa 5"),
+            (
+                graph_json((0, -2, -1), ((0,), (2, 3), (1,)), ((0, 2, 5), (2, 1, 4))),
+                "before its parent",
+            ),
+            (
+                graph_json(
+                    (0, -1, -2), ((0,), (1, 2), (3, 4)), ((0, 1, 6), (0, 2, 4), (1, 2, 4))
+                ),
+                "two parents",
+            ),
+        ],
+    )
+    def test_rejects(self, data, match):
+        with pytest.raises(StrataError, match=match):
+            EnhancedLevelGraph.from_json(data)
 
     def test_dot(self):
         dot = enumerate_graphs(3, 1)[0].to_dot()
