@@ -278,15 +278,14 @@ def _canonical_walk(source: int, steps):
     return min(fwd, rev)
 
 
-def enumerate_strings(q: QuiverWithPotential, cap: int | None = None) -> list[StringObject]:
+def enumerate_strings(q: QuiverWithPotential) -> list[StringObject]:
     """All strings of the Jacobian algebra, including the trivial ones.
 
-    The enumeration aborts once more than ``cap`` (default 10*n^2) distinct
-    strings are found, which signals a non-A_n-type input.
+    The enumeration aborts once more than 10*n^2 distinct strings are found,
+    which signals a non-A_n-type input.
     """
     n = len(q.vertices)
-    if cap is None:
-        cap = 10 * n * n
+    cap = 10 * n * n
     seen = {}
     for v in q.vertices:
         seen[(v,)] = StringObject(v, ())

@@ -142,8 +142,11 @@ def _load_json_arg(arg: str):
     if arg == "-":
         return json.load(sys.stdin)
     if os.path.exists(arg):
-        with open(arg) as fh:
-            return json.load(fh)
+        try:
+            with open(arg) as fh:
+                return json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read {arg!r}: {exc.strerror}") from exc
     try:
         return json.loads(arg)
     except json.JSONDecodeError as exc:
@@ -301,8 +304,9 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_strata(args) -> int:
-    if args.levels < 1:
-        raise UsageError(f"--levels must be at least 1, not {args.levels}")
+    for flag, value in (("--n", args.n), ("--levels", args.levels)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, not {value}")
     if args.poset:
         graphs = ST.enumerate_graphs(args.n, args.levels)
         keyed, rel = ST.adjacency_poset(graphs, labeled=args.labeled)

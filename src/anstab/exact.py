@@ -613,10 +613,6 @@ class LaurentGR:
         self.coeffs = dict(sorted(cleaned.items()))
 
     @classmethod
-    def const(cls, c: GaussianRational) -> "LaurentGR":
-        return cls({0: c})
-
-    @classmethod
     def monomial(cls, k: int, c: GaussianRational) -> "LaurentGR":
         return cls({k: c})
 
@@ -653,9 +649,6 @@ class LaurentGR:
         if not isinstance(c, GaussianRational):
             c = gr(c)
         return LaurentGR({k: v * c for k, v in self.coeffs.items()})
-
-    def shift(self, d: int) -> "LaurentGR":
-        return LaurentGR({k + d: c for k, c in self.coeffs.items()})
 
     def eval_fraction(self, t: Fraction) -> GaussianRational:
         total = _GR_ZERO

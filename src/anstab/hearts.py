@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .anquiver import QuiverWithPotential, _canon_cycle, make_linear, mutate
-from .exact import AnstabError, solve_in_basis
+from .exact import AnstabError, mat_det, solve_in_basis
 
 
 class HeartError(AnstabError):
@@ -51,6 +51,17 @@ class Heart:
     def rank(self) -> int:
         return len(self.labels)
 
+    def coords(self, gamma) -> dict[int, int]:
+        """The integer coordinates of the class gamma in the simple basis."""
+        if len(gamma) != len(self.classes):
+            raise HeartError(f"class {tuple(gamma)} has the wrong length")
+        x = solve_in_basis([list(c) for c in self.classes], list(gamma))
+        if x is None or any(c.denominator != 1 for c in x):
+            raise HeartError(
+                f"class {tuple(gamma)} is not an integer combination of the simples"
+            )
+        return {l: int(c) for l, c in zip(self.labels, x)}
+
     def ext1(self, s: int, t: int) -> int:
         """ext^1(S_s, S_t) = number of arrows s -> t."""
         return self.ext.arrow_count(s, t)
@@ -79,6 +90,8 @@ class Heart:
     def from_json(data: dict) -> "Heart":
         labels = tuple(s["label"] for s in data["simples"])
         classes = tuple(tuple(s["class"]) for s in data["simples"])
+        if any(len(c) != len(classes) for c in classes) or abs(mat_det(classes)) != 1:
+            raise HeartError("the simple classes must form a Z-basis (|det| = 1)")
         ext = QuiverWithPotential.from_json(data["extquiver"])
         prov = data.get("provenance", {})
         return Heart(
@@ -281,18 +294,12 @@ def hearts_in_interval(h0: Heart):
     whose class is nonnegative in the h0 basis; the search closes under such
     tilts and deduplicates by canonical form.
     """
-    basis = [list(c) for c in h0.classes]
-
-    def positive(c: KClass) -> bool:
-        x = solve_in_basis(basis, list(c))
-        return x is not None and all(xi >= 0 for xi in x)
-
     seen = {canonical_form(h0): h0}
     stack = [h0]
     while stack:
         h = stack.pop()
         for s in h.labels:
-            if not positive(h.cls(s)):
+            if min(h0.coords(h.cls(s)).values()) < 0:
                 continue
             t = forward_tilt(h, s)
             key = canonical_form(t)

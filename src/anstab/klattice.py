@@ -72,12 +72,6 @@ class TwistMatrix:
     def to_json(self) -> list[int]:
         return [x for row in self.rows for x in row]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TwistMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def __neg__(self) -> "TwistMatrix":
         return TwistMatrix(tuple(tuple(-x for x in r) for r in self.rows))
 

@@ -28,15 +28,15 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .anquiver import enumerate_strings, restrict
-from .exact import EC, AnstabError, ExactComplex, solve_in_basis
+from .exact import EC, AnstabError, ExactComplex
 from .hearts import Heart, canonical_form
 from .klattice import simple_twist_data
 from .stability import (
-    StabilityCondition,
     TiltState,
     as_exact_value,
     as_lambda,
     class_value,
+    coords_value,
 )
 
 INFTY = None  # formal -i*infinity plumbing entry
@@ -77,11 +77,6 @@ class MultiScaleStab:
 
     def is_honest(self) -> bool:
         return self.L == 0
-
-    def as_stability(self) -> StabilityCondition:
-        if not self.is_honest():
-            raise MscError("only a zero-level object is an honest stability condition")
-        return StabilityCondition(self.top, self.charges[0])
 
     def to_json(self) -> dict:
         return {
@@ -261,20 +256,6 @@ def _proportional(pairs: list[tuple[ExactComplex, ExactComplex]]) -> bool:
     return True
 
 
-def _same_saturated_span(span1, span2) -> bool:
-    """Equality of the sublattices spanned by two integer vector families."""
-    if len(span1) != len(span2):
-        return False
-    b1 = [list(v) for v in span1]
-    b2 = [list(v) for v in span2]
-    for basis, vectors in ((b1, b2), (b2, b1)):
-        for v in vectors:
-            x = solve_in_basis(basis, v)
-            if x is None or any(c.denominator != 1 for c in x):
-                return False
-    return True
-
-
 def _level_value(m: MultiScaleStab, i: int, cls) -> ExactComplex | None:
     """The level-i charge on an ambient class lying in the level-i lattice."""
     return class_value(m.top, m.charge(i), cls)
@@ -287,66 +268,37 @@ def _compare_levels(m1: MultiScaleStab, m2: MultiScaleStab, projective0: bool) -
 
     Representatives may differ by tilts inside the vanishing subcategories;
     such tilts change the top heart but none of the data compared here.
+    Everything is read off one table: m1's simple classes in m2's basis.
+    A lattice spanned by part of a basis is saturated, so two level lattices
+    are equal when they have equal rank and m1's rows are supported on m2's
+    level set.
     """
-    if m1.L != m2.L:
+    if m1.L != m2.L or m1.top.rank() != m2.top.rank():
         return False
-    n = m1.top.rank()
-    if n != m2.top.rank():
-        return False
-    for i in range(1, m1.L + 1):
-        if not _same_saturated_span(
-            [m1.top.cls(l) for l in sorted(m1.labels(i))],
-            [m2.top.cls(l) for l in sorted(m2.labels(i))],
-        ):
+    rows = {l: m2.top.coords(m1.top.cls(l)) for l in m1.top.labels}
+    for i in range(m1.L + 1):
+        n1, n2 = m1.labels(i), m2.labels(i)
+        if len(n1) != len(n2):
             return False
-    # level 0: both kill the level-1 lattice, so compare on the standard basis
-    basis = [tuple(1 if j == k else 0 for j in range(n)) for k in range(n)]
-    pairs0 = []
-    for e in basis:
-        v1 = _level_value(m1, 0, e)
-        v2 = _level_value(m2, 0, e)
-        if v1 is None or v2 is None:
+        if any(x and k not in n2 for l in n1 for k, x in rows[l].items()):
             return False
-        pairs0.append((v1, v2))
-    if projective0:
-        if not _proportional(pairs0):
-            return False
-    else:
-        if any(not (a == b) for a, b in pairs0):
-            return False
-    for i in range(1, m1.L + 1):
-        pairs = []
-        for l in sorted(m1.labels(i)):
-            v2 = _level_value(m2, i, m1.top.cls(l))
-            if v2 is None:
+        ch1, ch2 = m1.charge(i), m2.charge(i)
+        pairs = [(ch1[l], coords_value(rows[l], ch2)) for l in sorted(n1)]
+        if i == 0 and not projective0:
+            if any(not (a == b) for a, b in pairs):
                 return False
-            pairs.append((m1.charge(i)[l], v2))
-        if not _proportional(pairs):
+        elif not _proportional(pairs):
             return False
-    # level-0 quotient hearts must agree on the nose: compare the simple
-    # classes modulo the level-1 lattice (deeper hearts are free to move by
-    # the projective action, so only their charges were compared above)
-    deeper = [list(m1.top.cls(l)) for l in sorted(m1.labels(1))]
-
-    def in_deeper(vec) -> bool:
-        if not deeper:
-            return all(x == 0 for x in vec)
-        x = solve_in_basis(deeper, list(vec))
-        return x is not None and all(c.denominator == 1 for c in x)
-
-    left = [m1.top.cls(l) for l in sorted(m1.quotient_labels(0))]
-    right = [m2.top.cls(l) for l in sorted(m2.quotient_labels(0))]
-    if len(left) != len(right):
-        return False
-    remaining = list(right)
-    for c in left:
-        hit = next(
-            (r for r in remaining if in_deeper([a - b for a, b in zip(c, r)])),
-            None,
-        )
-        if hit is None:
+    # level-0 quotient hearts must agree on the nose: modulo the level-1
+    # lattice each quotient simple of m1 is a distinct quotient simple of m2
+    # (deeper hearts are free to move by the projective action)
+    q2 = m2.quotient_labels(0)
+    hits = set()
+    for l in m1.quotient_labels(0):
+        row = {k: x for k, x in rows[l].items() if x and k in q2}
+        if list(row.values()) != [1] or row.keys() & hits:
             return False
-        remaining.remove(hit)
+        hits |= row.keys()
     return True
 
 
@@ -438,12 +390,9 @@ def _in_basis_value(heart: Heart, charge: dict[int, ExactComplex], cls) -> Exact
 
 def is_intermediate(h: Heart, base: Heart) -> bool:
     """Every simple class is a nonnegative or nonpositive base combination."""
-    basis = [list(c) for c in base.classes]
     for c in h.classes:
-        x = solve_in_basis(basis, list(c))
-        if x is None:
-            return False
-        if not (all(v >= 0 for v in x) or all(v <= 0 for v in x)):
+        x = base.coords(c).values()
+        if min(x) < 0 < max(x):
             return False
     return True
 
@@ -507,14 +456,7 @@ def commutation_defect(m: MultiScaleStab, lam, tau, tol: float = 1e-9) -> Defect
 @dataclass(frozen=True)
 class NeighborhoodSpec:
     delta: tuple[float, ...]               # per passage 1..L
-    eps: float = 1e-6                      # default radius per merged interval
-    eps_by_interval: tuple[tuple[tuple[int, ...], float], ...] = ()
-
-    def eps_for(self, interval: tuple[int, ...]) -> float:
-        for key, val in self.eps_by_interval:
-            if key == interval:
-                return val
-        return self.eps
+    eps: float = 1e-6                      # radius per merged interval
 
 
 @dataclass(frozen=True)
@@ -614,7 +556,7 @@ def in_neighborhood(
             total += abs(diff) ** 2
         dist = math.sqrt(total)
         distances.append((interval, dist))
-        if dist > spec.eps_for(interval):
+        if dist > spec.eps:
             return NeighborhoodVerdict(
                 False,
                 f"quotient charge distance {dist:.3g} at interval {interval} "

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .anquiver import enumerate_strings
-from .exact import EC, AnstabError, ExactComplex, GaussianRational, solve_in_basis
+from .exact import EC, AnstabError, ExactComplex, GaussianRational
 from .hearts import Heart, KClass, _tilt, shift_heart
 
 
@@ -102,15 +102,19 @@ class StabilityCondition:
 
 def class_value(heart: Heart, charge: Mapping, gamma) -> ExactComplex | None:
     """The charge of the K-class gamma, Z-linear in the values ``charge``
-    takes on the classes of its simples in ``heart``; None when gamma lies
-    outside their span."""
-    labels = sorted(charge)
-    coeffs = solve_in_basis([list(heart.cls(l)) for l in labels], list(gamma))
-    if coeffs is None:
-        return None
+    takes on the simples of ``heart``; None when gamma's coordinates are
+    supported off the labels of ``charge``."""
+    return coords_value(heart.coords(gamma), charge)
+
+
+def coords_value(coords: Mapping[int, int], charge: Mapping) -> ExactComplex | None:
+    """The sum of coordinate times charge value; None when a nonzero
+    coordinate sits on a label without a value."""
     total = EC.zero()
-    for x, l in zip(coeffs, labels):
+    for l, x in sorted(coords.items()):
         if x:
+            if l not in charge:
+                return None
             total = total + charge[l] * x
     return total
 

@@ -15,8 +15,10 @@ A2_HEART = {
 }
 
 
-def a2_sigma(charge1) -> str:
-    return json.dumps({"heart": A2_HEART, "charge": {"1": charge1, "2": [1, 1, 1, 1]}})
+def a2_sigma(charge1, classes=([1, 0], [0, 1])) -> str:
+    simples = [{"label": l, "class": c} for l, c in zip((1, 2), classes)]
+    heart = dict(A2_HEART, simples=simples)
+    return json.dumps({"heart": heart, "charge": {"1": charge1, "2": [1, 1, 1, 1]}})
 
 
 def a2_msc(charge1) -> str:
@@ -278,6 +280,10 @@ class TestExitCodes:
             ["exchange-graph", "--heart", "A2", "--radius", "-1"],
             ["strata", "--n", "3", "--levels", "0"],
             ["strata", "--n", "3", "--levels", "-1"],
+            ["strata", "--n", "0"],
+            ["strata", "--n", "-1"],
+            ["msc-validate", "."],
+            ["c-act", a2_sigma([-1, 1, 1, 1], classes=[[2, 0], [0, 1]]), "--lam", "1/2"],
             ["msc-validate", a2_msc([1, 0, 1, 1])],
             ["msc-validate", a2_msc({"re": float("inf"), "im": 1.0})],
             ["c-act", a2_sigma([1, 0, 1, 1]), "--lam", "1/2"],

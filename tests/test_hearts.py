@@ -80,6 +80,27 @@ class TestTilts:
             h = forward_tilt(h, rng.choice(h.labels))
             assert mat_det([list(c) for c in h.classes]) in (1, -1)
 
+    def test_coords_recover_the_class(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            n = rng.randrange(2, 7)
+            h = standard_heart(n)
+            for _ in range(rng.randrange(8)):
+                h = forward_tilt(h, rng.choice(h.labels))
+            gamma = tuple(rng.randrange(-5, 6) for _ in range(n))
+            x = h.coords(gamma)
+            assert all(isinstance(c, int) for c in x.values())
+            total = tuple(sum(x[l] * h.cls(l)[k] for l in h.labels) for k in range(n))
+            assert total == gamma
+
+    def test_coords_reject_a_non_integral_class(self):
+        h = Heart((1, 2), ((2, 0), (0, 1)), standard_heart(2).ext)
+        with pytest.raises(HeartError, match="integer combination"):
+            h.coords((1, 0))
+        for gamma in ((1,), (1, 0, 5)):
+            with pytest.raises(HeartError, match="wrong length"):
+                standard_heart(2).coords(gamma)
+
     def test_double_forward_is_inverse_twist(self):
         # tilt twice at one label: classes transform by the inverse twist
         for n in (2, 3, 4):

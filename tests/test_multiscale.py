@@ -23,6 +23,7 @@ from anstab.multiscale import (
     validate_msc,
 )
 from anstab.sampling import random_msc
+from anstab.stability import class_value
 
 
 def a2_limit_datum():
@@ -142,6 +143,29 @@ class TestEquivalence:
         m4 = validate_msc(standard_heart(2), [{1: gr(0), 2: gr(0, 1)}, {1: gr(1)}])
         assert not equivalent(m1, m4)
         assert not projectively_equivalent(m1, m4)
+
+    def test_different_level0_quotient_heart(self):
+        # same chain and the same charges as maps on K, but the top heart is
+        # tilted twice at the quotient simple 3: the level-0 quotient hearts
+        # differ, so the objects are not equivalent
+        top1 = forward_tilt(forward_tilt(standard_heart(4), 3), 1)
+        m1 = validate_msc(
+            top1,
+            [
+                {1: gr(0), 2: gr(F(-5, 2), 4), 3: gr(F(-5, 3), 2), 4: gr(0, 1)},
+                {1: gr(6, F(2, 3))},
+            ],
+        )
+        top2 = forward_tilt(forward_tilt(top1, 3), 3)
+        charges = [
+            {l: class_value(top1, m1.charge(i), top2.cls(l)) for l in m1.labels(i)}
+            for i in range(2)
+        ]
+        m2 = validate_msc(top2, charges)
+        assert m2.labels(1) == m1.labels(1) and top2.classes != top1.classes
+        assert equivalent(m1, m1)
+        assert equivalent(m1, m2) is False
+        assert projectively_equivalent(m1, m2) is False
 
 
 class TestPlumb:
