@@ -48,6 +48,8 @@ class QuiverWithPotential:
 
     def __post_init__(self):
         vs = set(self.vertices)
+        if len(vs) != len(self.vertices):
+            raise QuiverError(f"repeated vertex in {list(self.vertices)}")
         seen = set()
         for (a, b) in self.arrows:
             if a == b:

@@ -50,7 +50,7 @@ def _split_terms(expr: str) -> list[str]:
     terms = []
     start = 0
     for i, ch in enumerate(expr):
-        if ch in "+-" and i > start:
+        if ch in "+-" and i > start and expr[i - 1] != "^":
             terms.append(expr[start:i])
             start = i
     terms.append(expr[start:])

@@ -12,9 +12,11 @@ adds to ``scale``).  Crucially, sign tests are decidable:
 * atoms with distinct ``scale`` are linearly independent over the algebraic
   numbers (a relation would make e^(pi*(s-s')) algebraic), so Im(v) = 0 is
   equivalent to the per-scale groups vanishing individually;
-* a single atom's Im/Re sign reduces to comparing the phase of a Gaussian
-  rational with a rational number, which is exact except in Niven's special
-  cases (axes and diagonals), where it is exact too;
+* with rot reduced into [0, 1/2), a single atom's Re or Im is
+  x*cos(pi*rot) + y*sin(pi*rot) for rationals x, y read off a + b*i, with
+  cos > 0 and sin > 0 unless rot = 0: the signs of x and y decide unless they
+  are opposite, and then one comparison of phase(|y| + |x|*i) with rot does,
+  which by Niven's theorem ties only on the diagonal at rot = 1/4 (symbolic);
 * nonzero quantities are separated from 0 by escalating-precision interval
   arithmetic (mpmath.iv), which terminates precisely because they are nonzero.
 
@@ -25,7 +27,6 @@ The semi-closed upper half plane is  {phi in (0, 1]}.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite
@@ -33,16 +34,6 @@ from typing import Iterable, Mapping
 
 import mpmath
 from mpmath import iv
-
-
-@contextmanager
-def _iv_prec(prec: int):
-    old = iv.prec
-    iv.prec = prec
-    try:
-        yield
-    finally:
-        iv.prec = old
 
 __all__ = [
     "AnstabError",
@@ -202,15 +193,23 @@ def _iv_frac(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-def _iv_sign(x) -> int | None:
-    """Sign of a real interval, or None if it straddles zero."""
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    if x == 0:  # true only for the exact zero interval
-        return 0
-    return None
+def _certified_sign(interval, what: str) -> int:
+    """Sign of the real that ``interval()`` encloses at the current ``iv.prec``,
+    doubling the precision until the enclosure excludes 0.  A nonzero value
+    may still lie closer to 0 than the cap resolves: that raises."""
+    old, prec = iv.prec, _IV_START_PREC
+    try:
+        while prec <= _IV_MAX_PREC:
+            iv.prec = prec
+            x = interval()
+            if x > 0:
+                return 1
+            if x < 0:
+                return -1
+            prec *= 2
+    finally:
+        iv.prec = old
+    raise PrecisionError(f"{what} not certified at {_IV_MAX_PREC} bits")
 
 
 def phase_cmp_rational(c: GaussianRational, r: Fraction) -> int:
@@ -240,53 +239,9 @@ def phase_cmp_rational(c: GaussianRational, r: Fraction) -> int:
         return 1
     if r >= hi:
         return -1
-    t = b / a
-    prec = _IV_START_PREC
-    while prec <= _IV_MAX_PREC:
-        with _iv_prec(prec):
-            tr = iv.tan(iv.pi * _iv_frac(r))
-            s = _iv_sign(_iv_frac(t) - tr)
-        if s is not None and s != 0:
-            return s
-        prec *= 2
-    raise PrecisionError(f"phase comparison undecided: {c} vs {r}")
-
-
-def _atom_im_sign(rot: Fraction, c: GaussianRational) -> int:
-    """Sign of Im(e^(-i*pi*rot) * c); 0 for c = 0."""
-    if c.is_zero():
-        return 0
-    # normalize: absorb quarter turns so rot lies in [0, 1/2)
-    rot = rot % 2
-    q, rot = divmod(rot, Fraction(1, 2))
-    c = c.times_minus_i(int(q))
-    # Im > 0  iff  phase(c) lies in the open window (rot, rot+1) mod 2;
-    # with phase(c) in (-1, 1] and rot in [0, 1/2) the window reads
-    #   rot = 0:        (0, 1)
-    #   rot in (0,1/2): (rot, 1] union (-1, rot-1)
-    at_rot = phase_cmp_rational(c, rot)
-    if at_rot == 0:
-        return 0
-    if rot == 0:
-        if at_rot < 0:
-            return -1
-        return 0 if phase_cmp_rational(c, Fraction(1)) == 0 else 1
-    low = rot - 1  # in [-1, -1/2)
-    at_low = phase_cmp_rational(c, low)
-    if at_low == 0:
-        return 0
-    if at_rot > 0 or at_low < 0:
-        return 1
-    return -1
-
-
-def _atom_re_sign(rot: Fraction, c: GaussianRational) -> int:
-    # Re(e^(-i*pi*rot) c) = Im(e^(-i*pi*(rot - 1/2)) c)
-    return _atom_im_sign(rot - Fraction(1, 2), c)
-
-
-# ---------------------------------------------------------------------------
-# Exact complex values
+    return _certified_sign(
+        lambda: _iv_frac(b / a) - iv.tan(iv.pi * _iv_frac(r)), "phase comparison"
+    )
 
 
 def _normalize_atom(rot: Fraction, scale: Fraction, c: GaussianRational):
@@ -296,6 +251,31 @@ def _normalize_atom(rot: Fraction, scale: Fraction, c: GaussianRational):
     rot = rot % 2
     q, rem = divmod(rot, Fraction(1, 2))
     return (rem, scale, c.times_minus_i(int(q)))
+
+
+def _xy(c: GaussianRational, part: str) -> tuple[Fraction, Fraction]:
+    """(x, y) with Re resp. Im of e^(-i*pi*rot) * c = x*cos(pi*rot) + y*sin(pi*rot)."""
+    return (c.re, c.im) if part == "re" else (c.im, -c.re)
+
+
+def _atom_sign(rot: Fraction, c: GaussianRational, part: str) -> int:
+    """Sign of Re (``part="re"``) or Im (``"im"``) of e^(-i*pi*rot) * c."""
+    if c.is_zero():
+        return 0
+    rot, _, c = _normalize_atom(rot, Fraction(0), c)
+    x, y = _xy(c, part)
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if rot == 0 or sy == 0:
+        return sx
+    if sx == 0 or sx == sy:
+        return sy
+    # opposite signs: x*cos + y*sin has the sign of x exactly when
+    # |x|*cos(pi*rot) > |y|*sin(pi*rot), i.e. when phase(|y| + |x|i) > rot
+    return sx * phase_cmp_rational(GaussianRational(abs(y), abs(x)), rot)
+
+
+# ---------------------------------------------------------------------------
+# Exact complex values
 
 
 class ExactComplex:
@@ -399,59 +379,30 @@ class ExactComplex:
     def __hash__(self) -> int:
         return hash(self.atoms)
 
-    def _group_by_scale(self):
-        out: dict[Fraction, list[tuple[Fraction, GaussianRational]]] = {}
-        for r, s, c in self.atoms:
-            out.setdefault(s, []).append((r, c))
-        return out
+    def _part_sign(self, part: str) -> int:
+        """Exact sign of Re or Im: the atoms' common sign when each scale holds
+        one atom and the nonzero atom signs agree, else certified by intervals."""
+        if len({s for _, s, _ in self.atoms}) == len(self.atoms):
+            signs = {_atom_sign(r, c, part) for r, _, c in self.atoms} - {0}
+            if len(signs) <= 1:
+                return max(signs, default=0)
 
-    def _signed_part_sign(self, part: str) -> int:
-        """Exact sign of Re or Im of the value."""
-        atom_sign = _atom_re_sign if part == "re" else _atom_im_sign
-        groups = self._group_by_scale()
-        group_signs: dict[Fraction, int] = {}
-        undecided = []
-        for s, atoms in groups.items():
-            if len(atoms) == 1:
-                group_signs[s] = atom_sign(atoms[0][0], atoms[0][1])
-            else:
-                undecided.append(s)
-        if not undecided:
-            nonzero = {s: g for s, g in group_signs.items() if g != 0}
-            if not nonzero:
-                return 0
-            if len(nonzero) == 1:
-                return next(iter(nonzero.values()))
-        # numerical refinement; a sum of distinct-scale groups with nonzero
-        # signs cannot vanish, but a same-scale group may
-        return self._iv_part_sign(part)
+        def total():
+            out = iv.mpf(0)
+            for r, s, c in self.atoms:
+                x, y = _xy(c, part)
+                ang = iv.pi * _iv_frac(r)
+                val = _iv_frac(x) * iv.cos(ang) + _iv_frac(y) * iv.sin(ang)
+                out += iv.exp(iv.pi * _iv_frac(s)) * val
+            return out
 
-    def _iv_part_sign(self, part: str) -> int:
-        prec = _IV_START_PREC
-        while prec <= _IV_MAX_PREC:
-            with _iv_prec(prec):
-                total = iv.mpf(0)
-                for r, s, c in self.atoms:
-                    ang = iv.pi * _iv_frac(r)
-                    co, si = iv.cos(ang), iv.sin(ang)
-                    a, b = _iv_frac(c.re), _iv_frac(c.im)
-                    if part == "re":
-                        val = a * co + b * si
-                    else:
-                        val = b * co - a * si
-                    total += iv.exp(iv.pi * _iv_frac(s)) * val
-                sign = _iv_sign(total)
-            if sign is not None and sign != 0:
-                return sign
-            prec *= 2
-        # a nonzero value may still lie closer to 0 than the cap resolves
-        raise PrecisionError(f"sign of {part} not certified at {_IV_MAX_PREC} bits")
+        return _certified_sign(total, f"sign of {part}")
 
     def im_sign(self) -> int:
-        return self._signed_part_sign("im")
+        return self._part_sign("im")
 
     def re_sign(self) -> int:
-        return self._signed_part_sign("re")
+        return self._part_sign("re")
 
     def in_upper_semiclosed(self) -> bool:
         """Membership in {m e^(i pi phi): m > 0, 0 < phi <= 1}."""
@@ -464,17 +415,13 @@ class ExactComplex:
             return False
         return self.re_sign() < 0
 
-    def phase_bucket(self) -> int:
-        """0 if the phase lies in (-1, 0], 1 if in (0, 1]. Value must be nonzero."""
-        if self.is_zero():
-            raise ZeroDivisionError("phase of 0")
-        return 1 if self.in_upper_semiclosed() else 0
-
     def cmp_phase(self, other: "ExactComplex") -> int:
         """Compare phase representatives in (-1, 1]. Both values nonzero."""
-        b1, b2 = self.phase_bucket(), other.phase_bucket()
+        if self.is_zero() or other.is_zero():
+            raise ZeroDivisionError("phase of 0")
+        b1, b2 = self.in_upper_semiclosed(), other.in_upper_semiclosed()
         if b1 != b2:
-            return -1 if b1 < b2 else 1
+            return 1 if b1 else -1
         cross = self.conj() * other
         s = cross.im_sign()
         if s > 0:

@@ -31,8 +31,7 @@ from .exact import (
     AnstabError,
     GaussianRational,
     LaurentGR,
-    _atom_im_sign,
-    _atom_re_sign,
+    _atom_sign,
 )
 from .hearts import Heart
 from .multiscale import MscError, MultiScaleStab, validate_msc
@@ -90,28 +89,25 @@ class LaurentCharge:
         )
 
 
-def _series_sign(atom_sign, rot: Fraction, f: LaurentGR) -> int:
-    """The sign that ``atom_sign`` gives the lowest-order term it does not kill."""
-    for k in sorted(f.coeffs):
-        s = atom_sign(rot, f.coeffs[k])
-        if s:
-            return s
-    return 0
+def _series_sign(part: str, rot: Fraction, f: LaurentGR) -> int:
+    """The sign of ``part`` ("re" or "im") of the lowest-order term it does not kill."""
+    signs = (_atom_sign(rot, f.coeffs[k], part) for k in sorted(f.coeffs))
+    return next((s for s in signs if s), 0)
 
 
 def _eventually_in_h(rot: Fraction, f: LaurentGR) -> bool:
     """Whether e^(-i*pi*rot) * f(t) lies in the half plane for all small t > 0."""
     if f.is_zero():
         return False
-    s = _series_sign(_atom_im_sign, rot, f)
+    s = _series_sign("im", rot, f)
     if s:
         return s > 0
-    return _series_sign(_atom_re_sign, rot, f) < 0
+    return _series_sign("re", rot, f) < 0
 
 
 def _on_positive_reals(rot: Fraction, lead) -> bool:
     """Whether e^(-i*pi*rot) * lead lies on R_{>0}."""
-    return _atom_im_sign(rot, lead) == 0 and _atom_re_sign(rot, lead) > 0
+    return _atom_sign(rot, lead, "im") == 0 and _atom_sign(rot, lead, "re") > 0
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,14 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .anquiver import enumerate_strings, restrict
-from .exact import EC, AnstabError, ExactComplex
+from .exact import AnstabError, ExactComplex
 from .hearts import Heart, canonical_form
 from .klattice import simple_twist_data
 from .stability import (
     TiltState,
     as_exact_value,
     as_lambda,
+    charge_from_json,
     class_value,
     coords_value,
 )
@@ -95,8 +96,8 @@ class MultiScaleStab:
     def from_json(data: dict) -> "MultiScaleStab":
         top = Heart.from_json(data["top_heart"])
         charges = [
-            {int(l): EC.from_json(v) for l, v in lvl["charge"].items()}
-            for lvl in data["levels"]
+            charge_from_json(lvl["charge"], f"level {i} ")
+            for i, lvl in enumerate(data["levels"])
         ]
         return validate_msc(top, charges)
 

@@ -67,6 +67,20 @@ def charge_from_values(heart: Heart, values: Mapping[int, object]) -> dict[int, 
     return out
 
 
+def charge_from_json(data: Mapping, where: str = "") -> dict[int, ExactComplex]:
+    """Decode a ``{"label": value}`` charge map; errors name ``where`` and the simple."""
+    if not isinstance(data, Mapping):
+        raise AnstabError(f"{where}charge is not a map from labels to values")
+    out = {}
+    for l, v in data.items():
+        try:
+            out[int(l)] = EC.from_json(v)
+        except (ValueError, KeyError, TypeError) as exc:
+            what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise AnstabError(f"{where}simple {l}: {what}") from exc
+    return out
+
+
 @dataclass(frozen=True)
 class StabilityCondition:
     heart: Heart
@@ -96,8 +110,7 @@ class StabilityCondition:
 
     @staticmethod
     def from_json(data: dict) -> "StabilityCondition":
-        charge = {int(l): EC.from_json(v) for l, v in data["charge"].items()}
-        return validate(Heart.from_json(data["heart"]), charge)
+        return validate(Heart.from_json(data["heart"]), charge_from_json(data["charge"]))
 
 
 def class_value(heart: Heart, charge: Mapping, gamma) -> ExactComplex | None:

@@ -15,15 +15,32 @@ A2_HEART = {
 }
 
 
-def a2_sigma(charge1, classes=([1, 0], [0, 1])) -> str:
+def a2_sigma(charge1, classes=([1, 0], [0, 1]), charge2=(1, 1, 1, 1)) -> str:
     simples = [{"label": l, "class": c} for l, c in zip((1, 2), classes)]
     heart = dict(A2_HEART, simples=simples)
-    return json.dumps({"heart": heart, "charge": {"1": charge1, "2": [1, 1, 1, 1]}})
+    return json.dumps({"heart": heart, "charge": {"1": charge1, "2": list(charge2)}})
 
 
 def a2_msc(charge1) -> str:
     level = {"simples": [1, 2], "charge": {"1": charge1, "2": [0, 1, 1, 1]}}
     return json.dumps({"schema": 1, "top_heart": A2_HEART, "levels": [level]})
+
+
+def a2_msc_deep(charge2) -> str:
+    """Simple 2 of A2 below simple 1, with ``charge2`` on level 1."""
+    top = {"simples": [1, 2], "charge": {"1": [-1, 1, 1, 1], "2": [0, 1, 0, 1]}}
+    deep = {"simples": [2], "charge": {"2": charge2}}
+    return json.dumps({"schema": 1, "top_heart": A2_HEART, "levels": [top, deep]})
+
+
+# Two simples that share the label 1.
+REPEATED_LABEL_SIGMA = json.dumps({
+    "heart": {
+        "simples": [{"label": 1, "class": [1, 0]}, {"label": 1, "class": [0, 1]}],
+        "extquiver": {"vertices": [1, 1], "arrows": [], "cycles": []},
+    },
+    "charge": {"1": [-1, 1, 1, 1]},
+})
 
 
 # Zero, negative, non-numeric and malformed values, offered to every option.
@@ -79,6 +96,8 @@ class TestParsers:
             1: gr(F(-3, 4)),
             2: gr(0, 2),
         }
+        h = parse_laurent("-t^-1+i")
+        assert h.coeffs == {-1: gr(-1), 0: gr(0, 1)}
 
     def test_family(self):
         fams = parse_family("(-1+it, 1+it)")
@@ -122,6 +141,15 @@ class TestCommands:
         assert data["rotation"] == [1, 64]
         levels = data["result"]["levels"]
         assert levels[1]["simples"] == [1]
+
+    def test_limit_negative_exponent(self, capsys):
+        code, out, _ = run(
+            capsys, "limit", "--heart", "A2", "--family", "(-t^-1+i, 1+i)"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["rotation"] == [0, 1]
+        assert [lvl["simples"] for lvl in data["result"]["levels"]] == [[1, 2], [2]]
 
     def test_twist_data(self, capsys):
         code, out, _ = run(capsys, "twist-data", "--rho", "[[2]]")
@@ -294,12 +322,33 @@ class TestExitCodes:
                 "limit", "--heart", "A2", "--family",
                 '{"1": [[0, 1, 0, 1, 1]], "2": [[0, 1, 1, 1, 1]]}',
             ],
+            ["c-act", REPEATED_LABEL_SIGMA, "--lam", "1/2"],
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["c-act", a2_sigma([-1, 1, 1, 1], charge2=[1, 1, 1, 0]), "--lam", "1/2"],
+             "simple 2: zero denominator"),
+            (["c-act", a2_sigma({"gauss": [1, 1, 1, 1]}), "--lam", "1/2"],
+             "simple 1: missing field 'rot'"),
+            (["msc-validate", a2_msc_deep([1, 0, 1, 1])], "level 1 simple 2: zero denominator"),
+            (["c-act", json.dumps({"heart": A2_HEART, "charge": []}), "--lam", "1/2"],
+             "charge is not a map"),
+            (["msc-validate", json.dumps({"top_heart": A2_HEART, "levels": [{"charge": []}]})],
+             "level 0 charge is not a map"),
+        ],
+    )
+    def test_charge_decode_errors_say_where(self, capsys, argv, where):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"usage error: {where}")
         assert err.count("\n") == 1
 
     def test_undecidable_sign_is_failure(self, capsys):

@@ -93,9 +93,41 @@ class TestExactComplex:
         if c.is_zero():
             return
         v = EC.unit(r) * EC.from_gaussian(c)
-        approx = complex(v).imag
-        if abs(approx) > 1e-12:
-            assert v.im_sign() == (1 if approx > 0 else -1)
+        z = complex(v)
+        if abs(z.imag) > 1e-12:
+            assert v.im_sign() == (1 if z.imag > 0 else -1)
+        if abs(z.real) > 1e-12:
+            assert v.re_sign() == (1 if z.real > 0 else -1)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=-2, max_value=2, max_denominator=24),
+                st.sampled_from([F(0), F(1, 2), F(-1)]),
+                rationals,
+                rationals,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_sum_signs_match_mpmath(self, atoms):
+        # shared scales go to intervals; distinct ones may agree in sign
+        v = EC([(r, s, gr(a, b)) for r, s, a, b in atoms])
+        z = v.to_mpc(60)
+        for got, want in ((v.im_sign, z.imag), (v.re_sign, z.real)):
+            if abs(want) > mpmath.mpf("1e-30"):
+                assert got() == (1 if want > 0 else -1)
+
+    def test_niven_angles_are_exact(self):
+        diagonal = EC.unit(F(1, 4)) * ec(1, 1)
+        assert diagonal.im_sign() == 0
+        antidiagonal = EC.unit(F(3, 4)) * ec(1, -1)
+        assert antidiagonal.im_sign() == 0
+        assert antidiagonal.in_upper_semiclosed()
+        axis = EC.unit(F(1, 2)) * ec(0, 1)
+        assert axis.im_sign() == 0
+        assert axis.re_sign() == 1
 
     def test_mixed_scale_sign(self):
         v = ec(0, 1) + EC.unit(0, -3) * ec(0, -1)   # i - e^{-3pi} i
