@@ -12,11 +12,14 @@ adds to ``scale``).  Crucially, sign tests are decidable:
 * atoms with distinct ``scale`` are linearly independent over the algebraic
   numbers (a relation would make e^(pi*(s-s')) algebraic), so Im(v) = 0 is
   equivalent to the per-scale groups vanishing individually;
-* with rot reduced into [0, 1/2), a single atom's Re or Im is
+* with rot in [0, 1/2), a single atom's Re or Im is
   x*cos(pi*rot) + y*sin(pi*rot) for rationals x, y read off a + b*i, with
   cos > 0 and sin > 0 unless rot = 0: the signs of x and y decide unless they
-  are opposite, and then one comparison of phase(|y| + |x|*i) with rot does,
-  which by Niven's theorem ties only on the diagonal at rot = 1/4 (symbolic);
+  are opposite, and then the sign is that of x exactly when
+  q = |x|/|y| > tan(pi*rot).  tan(pi*rot) is increasing with tan(pi/4) = 1,
+  so q = 1, q > 1 with rot <= 1/4 and q < 1 with rot >= 1/4 are symbolic;
+  otherwise q - tan(pi*rot) is nonzero (by Niven's theorem tan(pi*rot) is
+  rational only at rot = 0 and 1/4) and intervals decide it;
 * nonzero quantities are separated from 0 by escalating-precision interval
   arithmetic (mpmath.iv), which terminates precisely because they are nonzero.
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite
+from math import isfinite
 from typing import Iterable, Mapping
 
 import mpmath
@@ -163,6 +166,7 @@ def gr(re, im=0) -> GaussianRational:
 
 _GR_ZERO = gr(0)
 _GR_ONE = gr(1)
+_HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 
 def _norm_pm1(r: Fraction) -> Fraction:
@@ -212,44 +216,11 @@ def _certified_sign(interval, what: str) -> int:
     raise PrecisionError(f"{what} not certified at {_IV_MAX_PREC} bits")
 
 
-def phase_cmp_rational(c: GaussianRational, r: Fraction) -> int:
-    """Compare phase(c) in (-1, 1] with the rational r (reduced mod 2).
-
-    Exact: the only coincidences phase(c) = r happen on axes/diagonals
-    (Niven), which are handled symbolically.  Off those, phase(c) lies in an
-    open octant (k/4, (k+1)/4) where tan(pi * .) is strictly increasing with
-    no pole, so an interior comparison reduces to im/re versus tan(pi*r),
-    two reals that interval arithmetic always separates.
-    """
-    r = _norm_pm1(r)
-    p = _exact_phase(c)
-    if p is not None:
-        return (p > r) - (p < r)
-    a, b = c.re, c.im
-    if a > 0 and b > 0:
-        k = 0 if abs(b) < abs(a) else 1
-    elif a < 0 and b > 0:
-        k = 2 if abs(b) > abs(a) else 3
-    elif a < 0 and b < 0:
-        k = -4 if abs(b) < abs(a) else -3
-    else:
-        k = -2 if abs(b) > abs(a) else -1
-    lo, hi = Fraction(k, 4), Fraction(k + 1, 4)
-    if r <= lo:
-        return 1
-    if r >= hi:
-        return -1
-    return _certified_sign(
-        lambda: _iv_frac(b / a) - iv.tan(iv.pi * _iv_frac(r)), "phase comparison"
-    )
-
-
 def _normalize_atom(rot: Fraction, scale: Fraction, c: GaussianRational):
     """Reduce rot mod 2 into [0, 1/2), absorbing quarter turns into c."""
     if c.is_zero():
         return None
-    rot = rot % 2
-    q, rem = divmod(rot, Fraction(1, 2))
+    q, rem = divmod(rot % 2, _HALF)
     return (rem, scale, c.times_minus_i(int(q)))
 
 
@@ -262,7 +233,8 @@ def _atom_sign(rot: Fraction, c: GaussianRational, part: str) -> int:
     """Sign of Re (``part="re"``) or Im (``"im"``) of e^(-i*pi*rot) * c."""
     if c.is_zero():
         return 0
-    rot, _, c = _normalize_atom(rot, Fraction(0), c)
+    if not 0 <= rot < _HALF:
+        rot, _, c = _normalize_atom(rot, Fraction(0), c)
     x, y = _xy(c, part)
     sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
     if rot == 0 or sy == 0:
@@ -270,8 +242,17 @@ def _atom_sign(rot: Fraction, c: GaussianRational, part: str) -> int:
     if sx == 0 or sx == sy:
         return sy
     # opposite signs: x*cos + y*sin has the sign of x exactly when
-    # |x|*cos(pi*rot) > |y|*sin(pi*rot), i.e. when phase(|y| + |x|i) > rot
-    return sx * phase_cmp_rational(GaussianRational(abs(y), abs(x)), rot)
+    # q = |x|/|y| > tan(pi*rot), and tan(pi/4) = 1
+    q = abs(x) / abs(y)
+    if q == 1:
+        return sx * ((rot < _QUARTER) - (rot > _QUARTER))
+    if q > 1 and rot <= _QUARTER:
+        return sx
+    if q < 1 and rot >= _QUARTER:
+        return sy
+    return sx * _certified_sign(
+        lambda: _iv_frac(q) - iv.tan(iv.pi * _iv_frac(rot)), "phase comparison"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +523,12 @@ class ExactComplex:
 EC = ExactComplex
 
 
+def phase_cmp_rational(c: GaussianRational, r: Fraction) -> int:
+    """Compare phase(c) in (-1, 1] with the rational r reduced mod 2 into
+    (-1, 1]: ``cmp_phase`` of c against e^(i*pi*r)."""
+    return ExactComplex.from_gaussian(c).cmp_phase(ExactComplex.unit(-r))
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials over the Gaussian rationals
 
@@ -631,25 +618,22 @@ def mat_mul(a, b):
     ]
 
 
-def mat_det(a) -> Fraction:
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+def mat_det(a) -> int:
+    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
+    m = [list(row) for row in a]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
 def solve_in_basis(basis, target) -> list[Fraction] | None:
@@ -686,9 +670,3 @@ def solve_in_basis(basis, target) -> list[Fraction] | None:
         x[col] = m[r][k]
     return x
 
-
-def lcm(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out

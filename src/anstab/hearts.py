@@ -45,6 +45,13 @@ class Heart:
         if len(self.classes) != len(self.labels):
             raise HeartError("one class per simple required")
 
+    def check_basis(self) -> None:
+        """Raise unless the simple classes are square integer vectors with |det| = 1."""
+        n = len(self.classes)
+        square = all(len(c) == n and all(type(x) is int for x in c) for c in self.classes)
+        if not square or abs(mat_det(self.classes)) != 1:
+            raise HeartError("the simple classes must form a Z-basis (|det| = 1)")
+
     def cls(self, label: int) -> KClass:
         return self.classes[self.labels.index(label)]
 
@@ -90,17 +97,17 @@ class Heart:
     def from_json(data: dict) -> "Heart":
         labels = tuple(s["label"] for s in data["simples"])
         classes = tuple(tuple(s["class"]) for s in data["simples"])
-        if any(len(c) != len(classes) for c in classes) or abs(mat_det(classes)) != 1:
-            raise HeartError("the simple classes must form a Z-basis (|det| = 1)")
         ext = QuiverWithPotential.from_json(data["extquiver"])
         prov = data.get("provenance", {})
-        return Heart(
+        heart = Heart(
             labels,
             classes,
             ext,
             tuple((p[0], p[1]) for p in prov.get("word", [])),
             prov.get("shift", 0),
         )
+        heart.check_basis()
+        return heart
 
 
 def standard_heart(n: int) -> Heart:

@@ -13,11 +13,11 @@ preserves chi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
+from math import lcm
 
 from .anquiver import QuiverWithPotential, QuiverError, euler_pairing
-from .exact import lcm, mat_det, mat_identity, mat_mul
+from .exact import mat_det, mat_identity, mat_mul
 
 Letter = tuple[int, int]  # (generator index = vertex label, exponent +-1)
 
@@ -67,7 +67,7 @@ class TwistMatrix:
         return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in self.rows)
 
     def det(self) -> int:
-        return int(mat_det([list(r) for r in self.rows]))
+        return mat_det(self.rows)
 
     def to_json(self) -> list[int]:
         return [x for row in self.rows for x in row]
@@ -193,19 +193,7 @@ class TwistGroupData:
 
     def to_json(self) -> list[dict]:
         return [
-            {
-                "ell": lvl.ell,
-                "components": [
-                    {
-                        "size": c.size,
-                        "kappa": c.kappa,
-                        "kappa_hat": c.kappa_hat,
-                        "exponent": c.exponent,
-                        "theta_power": c.theta_power,
-                    }
-                    for c in lvl.components
-                ],
-            }
+            {"ell": lvl.ell, "components": [asdict(c) for c in lvl.components]}
             for lvl in self.levels
         ]
 
@@ -229,18 +217,16 @@ def simple_twist_data(rho) -> TwistGroupData:
             raise ValueError("a level must have at least one component")
         comps = []
         hats = [kappa_hat_of(n) for n in sizes]
-        ell = lcm(hats)
+        ell = lcm(*hats)
         for n, hat in zip(sizes, hats):
             if n < 1:
                 raise ValueError("component sizes must be positive")
-            expo = Fraction(ell, hat)
-            assert expo.denominator == 1, "exponent must be integral by parity rule"
             comps.append(
                 TwistComponentData(
                     size=n,
                     kappa=n + 3,
                     kappa_hat=hat,
-                    exponent=int(expo),
+                    exponent=ell // hat,
                     theta_power=1 if n % 2 == 1 else 2,
                 )
             )

@@ -1,8 +1,8 @@
 """Exact limit extraction for one-parameter families of central charges.
 
 A family is a Laurent polynomial in a parameter t per simple (t -> 0+), with
-Gaussian-rational coefficients, together with a global rational rotation
-accumulated while processing.  Everything is decided symbolically:
+Gaussian-rational coefficients; extraction accumulates a global rational
+rotation, starting from 0.  Everything is decided symbolically:
 
 * admissibility (values in the semi-closed upper half plane for all small
   t > 0) reads off the sign of the first nonvanishing imaginary, then real,
@@ -51,20 +51,18 @@ ROTATION_SCHEDULE = tuple(Fraction(1, q) for q in (64, 32, 16, 8, 4))
 
 @dataclass(frozen=True)
 class LaurentCharge:
-    """Per-simple Laurent polynomials plus a global rotation e^(-i*pi*rot)."""
+    """Per-simple Laurent polynomials."""
 
     families: tuple[tuple[int, LaurentGR], ...]
-    rot: Fraction = Fraction(0)
 
     @staticmethod
-    def build(values: Mapping[int, LaurentGR | Mapping[int, GaussianRational]],
-              rot=0) -> "LaurentCharge":
+    def build(values: Mapping[int, LaurentGR | Mapping[int, GaussianRational]]) -> "LaurentCharge":
         fams = []
         for l, f in values.items():
             if not isinstance(f, LaurentGR):
                 f = LaurentGR(dict(f))
             fams.append((int(l), f))
-        return LaurentCharge(tuple(sorted(fams)), Fraction(rot))
+        return LaurentCharge(tuple(sorted(fams)))
 
     def family(self, label: int) -> LaurentGR:
         for l, f in self.families:
@@ -145,7 +143,7 @@ def _check_admissible(heart: Heart, zc: LaurentCharge) -> None:
         f = zc.family(l)
         if f.is_zero():
             bad.append((l, "identically zero"))
-        elif not _eventually_in_h(zc.rot, f):
+        elif not _eventually_in_h(Fraction(0), f):
             bad.append((l, "leaves the semi-closed upper half plane near t=0"))
     if bad:
         msg = "; ".join(f"simple {l}: {why}" for l, why in bad)
@@ -207,7 +205,7 @@ def extract_limit(heart: Heart, zc: LaurentCharge):
     """
     _check_admissible(heart, zc)
     fams = {l: f for l, f in zc.families}
-    rot = zc.rot
+    rot = Fraction(0)
     heart_cur = heart
     for _round in range(len(ROTATION_SCHEDULE) + 1):
         st = TiltState(heart_cur, [{l: _Family(rot, f) for l, f in fams.items()}])

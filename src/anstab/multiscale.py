@@ -112,17 +112,14 @@ def _h_window_label(values: Sequence[tuple[int, ExactComplex]]) -> int | None:
     Returns the first label a such that every value b satisfies
     phase(b) - phase(a) in (-1, 0]; None when no common rotation exists.
     """
-    for a, va in values:
-        ok = True
-        for _, vb in values:
-            cross = va.conj() * vb
-            s = cross.im_sign()
-            if s > 0 or (s == 0 and cross.re_sign() < 0):
-                ok = False
-                break
-        if ok:
-            return a
-    return None
+    return next(
+        (
+            a
+            for a, va in values
+            if not any((va.conj() * vb).in_upper_semiclosed() for _, vb in values)
+        ),
+        None,
+    )
 
 
 def _check_type_constraints(top: Heart, chain: list[frozenset[int]]) -> None:
@@ -144,12 +141,14 @@ def _check_type_constraints(top: Heart, chain: list[frozenset[int]]) -> None:
 
 
 def validate_msc(top: Heart, level_charges: Sequence[Mapping[int, object]]) -> MultiScaleStab:
-    """Validate level charges and assemble the multi-scale object.
+    """Validate the top heart's basis and the level charges, and assemble the
+    multi-scale object.
 
     The vanishing chain is derived from the zero sets: N_{i+1} is where Z_i
     vanishes, and charges[i+1] must be given exactly on N_{i+1}.  Level 0 must
     be honestly half-plane valued; deeper levels only up to one rotation.
     """
+    top.check_basis()
     if not level_charges:
         raise MscError("at least the level-0 charge is required")
     charges = [

@@ -133,7 +133,9 @@ def coords_value(coords: Mapping[int, int], charge: Mapping) -> ExactComplex | N
 
 
 def validate(heart: Heart, values: Mapping[int, object]) -> StabilityCondition:
-    """Check the charge maps every simple into the semi-closed upper half plane."""
+    """Check the heart's classes form a Z-basis and the charge maps every
+    simple into the semi-closed upper half plane."""
+    heart.check_basis()
     charge = charge_from_values(heart, values)
     bad = []
     for l in heart.labels:
@@ -153,9 +155,6 @@ class Phase:
     """Exact phase handle for a nonzero charge value, normalized to (-1, 1]."""
 
     value: ExactComplex
-
-    def cmp(self, other: "Phase") -> int:
-        return self.value.cmp_phase(other.value)
 
     def fraction(self) -> Fraction | None:
         return self.value.phase_fraction()

@@ -323,6 +323,7 @@ class TestExitCodes:
                 '{"1": [[0, 1, 0, 1, 1]], "2": [[0, 1, 1, 1, 1]]}',
             ],
             ["c-act", REPEATED_LABEL_SIGMA, "--lam", "1/2"],
+            ["c-act", a2_sigma([-1, 1, 1, 1], classes=[[1.0, 0], [0, 1]]), "--lam", "1/2"],
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv):

@@ -7,6 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from anstab import exact
 from anstab.exact import (
     EC,
     LaurentGR,
@@ -64,6 +65,22 @@ class TestPhaseComparator:
         assert phase_cmp_rational(gr(1, 1), F(1, 4)) == 0
         assert phase_cmp_rational(gr(2, 1), F(1, 4)) == -1
         assert phase_cmp_rational(gr(1, 2), F(1, 4)) == 1
+
+
+def test_octant_boundaries_are_symbolic(monkeypatch):
+    def sign(rot, a, b):
+        return exact._atom_sign(F(rot), gr(a, b), "re")
+
+    def no_intervals(interval, what):
+        raise AssertionError(f"{what} reached the interval loop")
+
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_certified_sign", no_intervals)
+        assert sign("1/4", 2, -1) == sign("1/8", 2, -1) == 1
+        assert sign("1/4", 1, -2) == sign("3/8", 1, -2) == -1
+        assert [sign(r, 1, -1) for r in ("1/8", "1/4", "3/8")] == [1, 0, -1]
+    assert sign("3/8", 2, -1) == -1
+    assert sign("1/8", 1, -2) == 1
 
 
 class TestExactComplex:
@@ -203,3 +220,5 @@ class TestLinearAlgebra:
     def test_det(self):
         assert mat_det([[1, 2], [3, 4]]) == -2
         assert mat_det([[2, 0], [0, 3]]) == 6
+        assert mat_det([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
+        assert mat_det([[1, 2], [2, 4]]) == 0

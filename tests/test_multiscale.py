@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from anstab.exact import EC, gr
-from anstab.hearts import forward_tilt, standard_heart
+from anstab.hearts import Heart, HeartError, forward_tilt, standard_heart
 from anstab.klattice import simple_twist_data
 from anstab.multiscale import (
     INFTY,
@@ -53,6 +53,11 @@ class TestValidate:
     def test_identically_zero(self):
         with pytest.raises(MscError, match="identically zero"):
             validate_msc(standard_heart(2), [{1: gr(0), 2: gr(0)}])
+
+    def test_non_basis_heart_rejected(self):
+        h = Heart((1, 2), ((2, 0), (0, 1)), standard_heart(2).ext)
+        with pytest.raises(HeartError, match="Z-basis"):
+            validate_msc(h, [{1: gr(0, 1), 2: gr(0, 1)}])
 
     def test_level0_strict_half_plane(self):
         with pytest.raises(MscError, match="level 0"):

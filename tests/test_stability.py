@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anstab.exact import EC, gr
-from anstab.hearts import Heart, heart_equal, shift_heart, standard_heart
+from anstab.hearts import Heart, HeartError, heart_equal, shift_heart, standard_heart
 from anstab.stability import (
     StabilityError,
     c_act,
@@ -33,6 +33,11 @@ class TestValidate:
     def test_missing_simple(self):
         with pytest.raises(StabilityError):
             validate(standard_heart(2), {1: gr(0, 1)})
+
+    def test_non_basis_heart_rejected(self):
+        h = Heart((1, 2), ((2, 0), (0, 1)), standard_heart(2).ext)
+        with pytest.raises(HeartError, match="Z-basis"):
+            validate(h, {1: gr(0, 1), 2: gr(0, 1)})
 
 
 class TestPhaseMass:
