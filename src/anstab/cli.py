@@ -103,7 +103,10 @@ def parse_braid_word(expr: str) -> K.BraidWord:
     expr = expr.strip()
     if expr.startswith("["):
         return K.BraidWord.from_json(json.loads(expr))
-    tokens = re.findall(r"\(|\)|\^-?\d+|-?\d+", expr)
+    token = r"\(|\)|\^-?\d+|-?\d+"
+    if not re.fullmatch(rf"(?:\s*(?:{token}))*\s*", expr):
+        raise UsageError(f"cannot parse braid word {expr!r}")
+    tokens = re.findall(token, expr)
     def parse_seq(pos: int, stop_at_close: bool):
         letters: list[tuple[int, int]] = []
         while pos < len(tokens):

@@ -21,7 +21,7 @@ adds to ``scale``).  Crucially, sign tests are decidable:
   otherwise q - tan(pi*rot) is nonzero (by Niven's theorem tan(pi*rot) is
   rational only at rot = 0 and 1/4) and intervals decide it;
 * nonzero quantities are separated from 0 by escalating-precision interval
-  arithmetic (mpmath.iv), which terminates precisely because they are nonzero.
+  arithmetic (mpmath.iv); past a 16,384-bit cap it raises ``PrecisionError``.
 
 Phases are measured in half-turns: z = m * e^(i*pi*phi) with phi in (-1, 1].
 The semi-closed upper half plane is  {phi in (0, 1]}.
@@ -44,15 +44,12 @@ __all__ = [
     "ExactComplex",
     "LaurentGR",
     "PrecisionError",
-    "QQ",
     "gr",
     "mat_mul",
     "mat_identity",
     "mat_det",
-    "solve_in_basis",
+    "det_adjugate",
 ]
-
-QQ = Fraction
 
 _IV_START_PREC = 64
 _IV_MAX_PREC = 1 << 14
@@ -68,9 +65,10 @@ class AnstabError(ValueError):
 class PrecisionError(AnstabError, ArithmeticError):
     """A sign decision could not be certified.
 
-    Raised only for genuinely singular inputs (e.g. a zero test for a sum of
-    same-scale atoms with distinct rotations); for nonzero values the interval
-    escalation always terminates.
+    Raised for a zero test the symbolic rules cannot settle (e.g. a sum of
+    same-scale atoms with distinct rotations that cancels), and for a nonzero
+    value that lies closer to 0 than intervals at the precision cap
+    (``_IV_MAX_PREC``, 16,384 bits) resolve.
     """
 
     exit_code = 1
@@ -603,7 +601,7 @@ class LaurentGR:
 
 
 # ---------------------------------------------------------------------------
-# Small exact linear algebra (integer/rational, dense, tiny sizes)
+# Small exact linear algebra (integer, dense, tiny sizes)
 
 
 def mat_identity(n: int):
@@ -618,55 +616,30 @@ def mat_mul(a, b):
     ]
 
 
-def mat_det(a) -> int:
-    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
-    m = [list(row) for row in a]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return 0
+def det_adjugate(a):
+    """``(det a, adj a)``, so adj * a = det * I, for a square integer matrix a,
+    or ``(0, None)`` when a is singular.  One fraction-free (Bareiss)
+    Gauss-Jordan pass on [a | I]: the entries stay integer minors, the left
+    block ends as d * I and the right one as d * a^-1, d = +-det a."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if n else 1
+        top, p = m[k], m[k][k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
-def solve_in_basis(basis, target) -> list[Fraction] | None:
-    """Coefficients x with sum_j x_j * basis[j] = target, or None.
-
-    ``basis`` is a list of integer/rational vectors (not necessarily square).
-    """
-    if not basis:
-        return None
-    n = len(basis[0])
-    k = len(basis)
-    m = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    row = 0
-    pivots = []
-    for col in range(k):
-        pivot = next((r for r in range(row, n) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    # consistency: rows below must have zero rhs
-    for r in range(row, n):
-        if m[r][k] != 0:
-            return None
-    x = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        x[col] = m[r][k]
-    return x
-
+def mat_det(a) -> int:
+    """Determinant of a square integer matrix."""
+    return det_adjugate(a)[0]

@@ -18,10 +18,11 @@ realizes the inverse twist on all simple classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .anquiver import QuiverWithPotential, _canon_cycle, make_linear, mutate
-from .exact import AnstabError, mat_det, solve_in_basis
+from .exact import AnstabError, det_adjugate
 
 
 class HeartError(AnstabError):
@@ -45,11 +46,17 @@ class Heart:
         if len(self.classes) != len(self.labels):
             raise HeartError("one class per simple required")
 
+    @cached_property
+    def _det_adj(self):
+        """``det_adjugate`` of the classes as columns; (0, None) unless a square of ints."""
+        n = len(self.classes)
+        if any(len(c) != n or any(type(x) is not int for x in c) for c in self.classes):
+            return 0, None
+        return det_adjugate(list(zip(*self.classes)))
+
     def check_basis(self) -> None:
         """Raise unless the simple classes are square integer vectors with |det| = 1."""
-        n = len(self.classes)
-        square = all(len(c) == n and all(type(x) is int for x in c) for c in self.classes)
-        if not square or abs(mat_det(self.classes)) != 1:
+        if abs(self._det_adj[0]) != 1:
             raise HeartError("the simple classes must form a Z-basis (|det| = 1)")
 
     def cls(self, label: int) -> KClass:
@@ -59,15 +66,18 @@ class Heart:
         return len(self.labels)
 
     def coords(self, gamma) -> dict[int, int]:
-        """The integer coordinates of the class gamma in the simple basis."""
+        """The integer coordinates of the class gamma in the simple basis, adj * gamma / det."""
         if len(gamma) != len(self.classes):
             raise HeartError(f"class {tuple(gamma)} has the wrong length")
-        x = solve_in_basis([list(c) for c in self.classes], list(gamma))
-        if x is None or any(c.denominator != 1 for c in x):
+        det, adj = self._det_adj
+        if adj is None:
+            raise HeartError("the simple classes are not a nonsingular square integer matrix")
+        x = [sum(a * g for a, g in zip(row, gamma)) for row in adj]
+        if any(v % det for v in x):
             raise HeartError(
                 f"class {tuple(gamma)} is not an integer combination of the simples"
             )
-        return {l: int(c) for l, c in zip(self.labels, x)}
+        return {l: v // det for l, v in zip(self.labels, x)}
 
     def ext1(self, s: int, t: int) -> int:
         """ext^1(S_s, S_t) = number of arrows s -> t."""

@@ -30,9 +30,9 @@ class BraidWord:
     def build(letters) -> "BraidWord":
         out = []
         for (i, e) in letters:
-            if e not in (1, -1):
-                raise ValueError(f"exponent must be +-1, got {e}")
-            out.append((int(i), int(e)))
+            if type(i) is not int or type(e) is not int or e not in (1, -1):
+                raise ValueError(f"a letter is [generator, +-1] in integers, got {[i, e]!r}")
+            out.append((i, e))
         return BraidWord(tuple(out))
 
     def inverse(self) -> "BraidWord":
@@ -215,12 +215,12 @@ def simple_twist_data(rho) -> TwistGroupData:
     for sizes in rho:
         if not sizes:
             raise ValueError("a level must have at least one component")
+        if any(type(n) is not int or n < 1 for n in sizes):
+            raise ValueError(f"component sizes must be positive integers, got {sizes!r}")
         comps = []
         hats = [kappa_hat_of(n) for n in sizes]
         ell = lcm(*hats)
         for n, hat in zip(sizes, hats):
-            if n < 1:
-                raise ValueError("component sizes must be positive")
             comps.append(
                 TwistComponentData(
                     size=n,

@@ -179,22 +179,6 @@ class _Family:
         return a.cmp_phase(b)
 
 
-def _wall_phases_hit(heart: Heart, fams: dict[int, LaurentGR], rot: Fraction,
-                     lam: Fraction) -> bool:
-    """Does rotating by lam land some indecomposable leading term on R_{>0}?"""
-    for s in enumerate_strings(heart.ext):
-        dv = s.dimension_vector(heart.ext.vertices)
-        total = LaurentGR()
-        for m, v in zip(dv, heart.ext.vertices):
-            if m:
-                total = total + fams[v].scale(m)
-        if total.is_zero():
-            continue
-        if _on_positive_reals(rot + lam, total.leading()):
-            return True
-    return False
-
-
 def extract_limit(heart: Heart, zc: LaurentCharge):
     """Extract the limiting multi-scale object of an admissible family.
 
@@ -227,11 +211,21 @@ def extract_limit(heart: Heart, zc: LaurentCharge):
                         ch[l] = EC.zero()
                 charges.append(ch)
             return validate_msc(heart_cur, charges), rot
+        # leading terms of the nonzero indecomposable charges
+        leads = []
+        for s in enumerate_strings(heart_cur.ext):
+            dv = s.dimension_vector(heart_cur.ext.vertices)
+            total = LaurentGR()
+            for m, v in zip(dv, heart_cur.ext.vertices):
+                if m:
+                    total = total + fams[v].scale(m)
+            if not total.is_zero():
+                leads.append(total.leading())
         lam = next(
             (
                 lam
                 for lam in ROTATION_SCHEDULE
-                if not _wall_phases_hit(heart_cur, fams, rot, lam)
+                if not any(_on_positive_reals(rot + lam, c) for c in leads)
             ),
             None,
         )

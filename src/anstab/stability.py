@@ -370,13 +370,15 @@ def indecomposable_spectrum(sigma: StabilityCondition) -> list[SpectrumEntry]:
     wall-avoidance and mass diagnostics need.
     """
     h = sigma.heart
+    charge = sigma.charge_dict()
     entries = []
     for s in enumerate_strings(h.ext):
+        # the dimension vector is the string's coordinates in the simple basis
         dv = s.dimension_vector(h.ext.vertices)
         cls = tuple(
             sum(m * h.cls(v)[i] for m, v in zip(dv, h.ext.vertices))
             for i in range(h.rank())
         )
-        v = sigma.value(cls)
+        v = coords_value(dict(zip(h.ext.vertices, dv)), charge)
         entries.append(SpectrumEntry(cls, Phase(v), Mass(tuple(v.abs2_parts()), abs(v))))
     return entries

@@ -324,6 +324,14 @@ class TestExitCodes:
             ],
             ["c-act", REPEATED_LABEL_SIGMA, "--lam", "1/2"],
             ["c-act", a2_sigma([-1, 1, 1, 1], classes=[[1.0, 0], [0, 1]]), "--lam", "1/2"],
+            ["twist-data", "--rho", "[[true,2]]"],
+            ["twist-data", "--rho", "[[1],[true]]"],
+            ["braid", "--n", "2", "--word", "abc"],
+            ["braid", "--n", "2", "--word", "1 x 2"],
+            ["braid", "--n", "2", "--word", "1^x"],
+            ["braid", "--n", "2", "--word", "[[1.5,1]]"],
+            ["braid", "--n", "2", "--word", "[[true,1]]"],
+            ["braid", "--n", "2", "--word", "[[1,true]]"],
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv):

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -12,10 +13,10 @@ from anstab.exact import (
     EC,
     LaurentGR,
     PrecisionError,
+    det_adjugate,
     gr,
     mat_det,
     phase_cmp_rational,
-    solve_in_basis,
 )
 
 rationals = st.fractions(
@@ -211,11 +212,24 @@ class TestLaurent:
 
 
 class TestLinearAlgebra:
-    def test_solve_in_basis(self):
-        basis = [[1, 1], [0, -1]]
-        assert solve_in_basis(basis, [1, 0]) == [1, 1]
-        assert solve_in_basis(basis, [2, 1]) == [2, 1]
-        assert solve_in_basis([[1, 0]], [0, 1]) is None
+    def test_adjugate(self):
+        assert det_adjugate([[1, 1], [0, -1]]) == (-1, [[-1, -1], [0, 1]])
+        assert det_adjugate([]) == (1, [])
+        assert det_adjugate([[1, 2], [2, 4]]) == (0, None)
+        assert det_adjugate([[0, 0, 1], [0, 2, 3], [0, 4, 5]]) == (0, None)
+        a = [[0, 1, 2], [1, 0, 3], [4, -3, 8]]  # the first pivot needs a swap
+        assert det_adjugate(a) == (-2, [[9, -14, 3], [4, -8, 2], [-3, 4, -1]])
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randrange(1, 6)
+            a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+            det, adj = det_adjugate(a)
+            if det == 0:
+                assert adj is None
+                continue
+            for i in range(n):
+                for j in range(n):
+                    assert sum(adj[i][k] * a[k][j] for k in range(n)) == det * (i == j)
 
     def test_det(self):
         assert mat_det([[1, 2], [3, 4]]) == -2
