@@ -311,7 +311,8 @@ def _cmd_strata(args) -> int:
         if value < 1:
             raise UsageError(f"{flag} must be at least 1, not {value}")
     if args.poset:
-        graphs = ST.enumerate_graphs(args.n, args.levels)
+        graphs = ST.enumerate_graphs(args.n, args.levels) if args.labeled else [
+            rep for _, _, rep in ST.census_types(args.n, args.levels)]
         keyed, rel = ST.adjacency_poset(graphs, labeled=args.labeled)
         names = {k: f"type{idx}" for idx, k in enumerate(sorted(keyed, key=repr))}
         payload = {
@@ -364,6 +365,8 @@ def _cmd_braid(args) -> int:
 
 def _cmd_twist_data(args) -> int:
     rho = json.loads(args.rho)
+    if not (isinstance(rho, list) and rho and all(isinstance(r, list) for r in rho)):
+        raise UsageError(f"--rho must be a non-empty JSON list of lists, not {args.rho!r}")
     data = K.simple_twist_data(rho)
     _emit({"schema": SCHEMA, "rho": rho, "levels": data.to_json()}, args)
     return 0

@@ -16,6 +16,16 @@ from one backward pass over the parents, and the edge triples are derived
 for readers of the JSON and dot output.  Enumeration generates exactly these
 graphs: each block tree once, then each level map that descends along its
 edges and leaves no level empty, so nothing is built only to be filtered out.
+
+The census builds one labeled graph per type.  It generates each unlabeled
+type once, as a leg count plus a multiset of deeper child subtrees memoized
+per (size, level), and counts (n + 1)!/|Aut| labelings by orbit-stabilizer,
+where aut(v) = legs! * prod(m! * aut(child)^m) over groups of m equal
+children.  Its representative is the first graph of the type that
+``enumerate_graphs`` emits: children sorted by block size, then by where
+``_trees`` first emits their shapes, then by preorder levels; consecutive
+labels from the smallest, each vertex's legs taking its largest.
+``enumerate_graphs`` + ``unlabeled_census`` remain the oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import AnstabError
 from .multiscale import MscError, MultiScaleStab
@@ -237,12 +247,14 @@ def enumerate_graphs(n: int, max_levels: int) -> list[EnhancedLevelGraph]:
     ``_level_maps``, which only emits valid ones.  Enhancements are forced by
     the vertex-sum rule, so nothing else is chosen, and no graph can repeat
     because it determines its block tree and its level map.  The graphs of
-    one tree share its ``parents`` and ``zeros`` tuples.
+    one tree share its ``parents`` and ``zeros`` tuples, and the trees that
+    share a ``parents`` tuple share its level maps.
     """
     if n < 1:
         raise StrataError("need at least two zeros")
     out = []
     seen = set()
+    maps: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for tree in _trees(frozenset(range(n + 1)), max_levels + 1):
         if not tree[1]:
             continue
@@ -259,7 +271,9 @@ def enumerate_graphs(n: int, max_levels: int) -> list[EnhancedLevelGraph]:
 
         walk(tree, 0)
         shared = (tuple(parents), tuple(zeros))
-        for levels in _level_maps(parents, max_levels):
+        if shared[0] not in maps:
+            maps[shared[0]] = list(_level_maps(parents, max_levels))
+        for levels in maps[shared[0]]:
             g = EnhancedLevelGraph(levels, *shared)
             g.validate()
             if g in seen:
@@ -439,30 +453,93 @@ def from_msc(m: MultiScaleStab) -> EnhancedLevelGraph:
 
 
 # ---------------------------------------------------------------------------
-# Census helper
+# Census by unlabeled type
+
+
+class _Subtree(NamedTuple):
+    """An unlabeled leveled subtree, its ``kids`` in representative order."""
+
+    key: tuple      # canonical_key: (level, legs, kids)
+    size: int       # zeros in the subtree
+    kids: tuple
+    aut: int        # automorphisms fixing the root
+    shape: tuple    # orders the shapes of one size as ``_trees`` first emits them
+    levels: tuple   # the representative's levels in preorder
+
+
+def _multisets(pool: list[_Subtree], start: int, budget: int):
+    """Multisets from pool[start:] (sorted by size) of total size <= budget."""
+    yield ()
+    for i in range(start, len(pool)):
+        if pool[i].size > budget:
+            break
+        for rest in _multisets(pool, i, budget - pool[i].size):
+            yield (pool[i],) + rest
+
+
+def _leveled_trees(n: int, max_levels: int) -> list[_Subtree]:
+    """Each leveled tree on n + 1 zeros whose levels fill 0..-d, d <= max_levels, once."""
+    memo: dict[tuple[int, int], list[_Subtree]] = {}
+
+    def build(size: int, level: int) -> list[_Subtree]:
+        if (size, level) in memo:
+            return memo[size, level]
+        pool = [t for s in range(2, size) for lv in range(-max_levels, level) for t in build(s, lv)]
+        out = memo[size, level] = []
+        for kids in _multisets(pool, 0, size):
+            legs = size - sum(k.size for k in kids)
+            if legs + len(kids) < 2 or not (kids or level):
+                continue  # unstable, or a top vertex without an edge
+            kids = tuple(sorted(kids, key=lambda k: (k.size, k.shape, k.levels)))
+            out.append(_Subtree(
+                (level, legs, tuple(sorted((k.size + 2, k.key) for k in kids))), size, kids,
+                math.factorial(legs) * math.prod(k.aut for k in kids) * math.prod(
+                    math.factorial(len(list(g))) for _, g in itertools.groupby(kids)),
+                (tuple(k.size for k in kids), tuple(k.shape for k in kids)),
+                (level, *itertools.chain.from_iterable(k.levels for k in kids)),
+            ))
+        return out
+
+    return [t for t in build(n + 1, 0) if set(t.levels) == set(range(min(t.levels), 1))]
+
+
+def _representative(t: _Subtree) -> EnhancedLevelGraph:
+    parents: list[int] = []
+    zeros: list[tuple[int, ...]] = []
+
+    def walk(s: _Subtree, parent: int, lo: int) -> None:
+        parents.append(parent)
+        zeros.append(tuple(range(lo + s.size - s.key[1], lo + s.size)))
+        v = len(zeros) - 1
+        for k in s.kids:
+            walk(k, v, lo)
+            lo += k.size
+
+    walk(t, -1, 0)
+    g = EnhancedLevelGraph(t.levels, tuple(parents), tuple(zeros))
+    g.validate()
+    return g
+
+
+def census_types(n: int, max_levels: int) -> list[tuple[object, int, EnhancedLevelGraph]]:
+    """(unlabeled key, labeled count, representative) per type, in the order
+    in which ``enumerate_graphs`` first emits the types."""
+    if n < 1:
+        raise StrataError("need at least two zeros")
+    trees = sorted(_leveled_trees(n, max_levels), key=lambda t: (t.shape, -min(t.levels), t.levels))
+    return [(t.key, math.factorial(n + 1) // t.aut, _representative(t)) for t in trees]
 
 
 def census(n: int, max_levels: int) -> dict:
-    graphs = enumerate_graphs(n, max_levels)
-    groups = unlabeled_census(graphs)
-    entries = []
-    for key, members in sorted(groups.items(), key=lambda kv: repr(kv[0])):
-        rep = members[0]
-        total, per_edge = prong_count(rep)
-        entries.append(
-            {
-                "depth": rep.depth,
-                "labeled_count": len(members),
-                "enhancements": sorted(per_edge),
-                "prongs": total,
-                "representative": rep.to_json(),
-            }
-        )
-    return {
-        "schema": 1,
-        "n": n,
-        "max_levels": max_levels,
-        "labeled_total": len(graphs),
-        "unlabeled_total": len(groups),
-        "types": entries,
-    }
+    """One entry per unlabeled type, sorted by ``repr`` of its key, with its
+    (n + 1)!/|Aut| labelings and the first labeled graph ``enumerate_graphs``
+    emits for it, all from ``census_types`` (see the module docstring)."""
+    types = sorted(census_types(n, max_levels), key=lambda e: repr(e[0]))
+    entries = [
+        {"depth": rep.depth, "labeled_count": count, "enhancements": sorted(prong_count(rep)[1]),
+         "prongs": prong_count(rep)[0], "representative": rep.to_json()}
+        for _, count, rep in types
+    ]
+    return {"schema": 1, "n": n, "max_levels": max_levels,
+            "labeled_total": sum(count for _, count, _ in types),
+            "unlabeled_total": len(types), "types": entries}

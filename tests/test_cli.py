@@ -360,6 +360,13 @@ class TestExitCodes:
         assert err.startswith(f"usage error: {where}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("rho", ["{}", "[]", '{"1":2}', '"x"', "[1, 2]", "[[1], 2]"])
+    def test_rho_must_be_a_list_of_lists(self, capsys, rho):
+        code, out, err = run(capsys, "twist-data", "--rho", rho)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: --rho must be a non-empty JSON list of lists")
+        assert err.count("\n") == 1
+
     def test_undecidable_sign_is_failure(self, capsys):
         # e^(-i*pi/3) + e^(i*pi/3) - 1 is zero, but its sign is not certified
         zero = EC.unit(F(1, 3)) + EC.unit(F(-1, 3)) - EC.rational(1)

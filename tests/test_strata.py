@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import time
 
 import pytest
 
 from anstab import strata
+from anstab.cli import SCHEMA, main
 from anstab.exact import gr
 from anstab.hearts import forward_tilt, standard_heart
 from anstab.klattice import simple_twist_data
@@ -17,6 +19,7 @@ from anstab.strata import (
     adjacency_poset,
     canonical_key,
     census,
+    census_types,
     double_cover,
     enumerate_graphs,
     from_msc,
@@ -333,3 +336,118 @@ class TestSerialization:
             golden = json.load(fh)
         live = census(3, 2)
         assert live == golden
+
+
+def labeled_census(n, max_levels):
+    """census() the slow way: group every labeled graph by unlabeled type."""
+    graphs = enumerate_graphs(n, max_levels)
+    groups = unlabeled_census(graphs)
+    entries = []
+    for key, members in sorted(groups.items(), key=lambda kv: repr(kv[0])):
+        total, per_edge = prong_count(members[0])
+        entries.append(
+            {
+                "depth": members[0].depth,
+                "labeled_count": len(members),
+                "enhancements": sorted(per_edge),
+                "prongs": total,
+                "representative": members[0].to_json(),
+            }
+        )
+    data = {
+        "schema": 1,
+        "n": n,
+        "max_levels": max_levels,
+        "labeled_total": len(graphs),
+        "unlabeled_total": len(groups),
+        "types": entries,
+    }
+    return data, list(groups)
+
+
+def labeled_total(n, max_levels):
+    """Labeled graph count by inclusion-exclusion over the levels used.
+
+    With j levels below the top, a(s, l) counts the subtrees on s labeled
+    zeros rooted at level -l: a family of disjoint child blocks (at least two
+    zeros each, weighted by b(m, l), the choices of a deeper level and a
+    subtree) and legs for the rest, minus the unstable single full block.
+    Level maps into j levels that need not all be used give
+    g(j) = sum over d of C(j, d) * s(d), and s(d) counts the graphs of depth
+    exactly d."""
+
+    def maps_into(j):
+        a = {}
+
+        def b(m, level):
+            return sum(a[m, deeper] for deeper in range(level + 1, j + 1))
+
+        def arrangements(s, level):
+            # the smallest label is a leg, or lies in a block of m zeros
+            g = [1]
+            for t in range(1, s + 1):
+                g.append(g[t - 1] + sum(
+                    math.comb(t - 1, m - 1) * b(m, level) * g[t - m] for m in range(2, t + 1)
+                ))
+            return g[s]
+
+        for level in range(j, 0, -1):
+            for m in range(2, n + 2):
+                a[m, level] = arrangements(m, level) - b(m, level)
+        # the top needs an edge, and its zeros cannot all fall into one block
+        return arrangements(n + 1, 0) - 1 - b(n + 1, 0)
+
+    exact = [
+        sum((-1) ** (d - j) * math.comb(d, j) * maps_into(j) for j in range(d + 1))
+        for d in range(max_levels + 1)
+    ]
+    return sum(exact[1:])
+
+
+def poset_stdout(keyed, rel):
+    names = {k: f"type{idx}" for idx, k in enumerate(sorted(keyed, key=repr))}
+    payload = {
+        "schema": SCHEMA,
+        "strata": {
+            names[k]: {
+                "depth": keyed[k].depth,
+                "undegenerations": sorted(names[u] for u in rel[k]),
+            }
+            for k in keyed
+        },
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# every size whose labeled total is at most 25,000
+DIFFERENTIAL_SIZES = (
+    [(n, 1) for n in range(2, 9)] + [(n, 2) for n in range(2, 7)] + [(n, 3) for n in range(2, 6)]
+)
+
+
+class TestCensusByType:
+    @pytest.mark.parametrize("n, max_levels", DIFFERENTIAL_SIZES)
+    def test_matches_labeled_enumeration(self, n, max_levels):
+        # types, counts, prongs, enhancements, representatives and order
+        oracle, first_seen = labeled_census(n, max_levels)
+        assert census(n, max_levels) == oracle
+        assert labeled_total(n, max_levels) == oracle["labeled_total"]
+        assert [key for key, _, _ in census_types(n, max_levels)] == first_seen
+
+    @pytest.mark.parametrize("n, max_levels", [(n, L) for n in range(2, 6) for L in (1, 2, 3)])
+    def test_poset_output_matches_labeled_enumeration(self, capsys, n, max_levels):
+        assert main(["strata", "--n", str(n), "--levels", str(max_levels), "--poset"]) == 0
+        out = capsys.readouterr().out
+        assert out == poset_stdout(*adjacency_poset(enumerate_graphs(n, max_levels)))
+
+    def test_large_sizes_are_fast(self):
+        start = time.monotonic()
+        data = census(12, 1)
+        assert time.monotonic() - start < 1.0
+        assert data["labeled_total"] == 27_644_435  # Bell(13) - 2
+        assert data["labeled_total"] == sum(t["labeled_count"] for t in data["types"])
+        start = time.monotonic()
+        data = census(8, 2)
+        assert time.monotonic() - start < 1.0
+        assert data["labeled_total"] == labeled_total(8, 2)
+        assert data["labeled_total"] == sum(t["labeled_count"] for t in data["types"])
