@@ -17,7 +17,7 @@ from .anquiver import (
     mutate,
     restrict,
 )
-from .exact import EC, ExactComplex, GaussianRational, LaurentGR, gr
+from .exact import EC, ExactComplex, GaussianRational, Laurent, gr
 from .hearts import (
     Heart,
     backward_tilt,

@@ -23,7 +23,7 @@ from . import limits as LIM
 from . import multiscale as MS
 from . import strata as ST
 from .anquiver import make_linear
-from .exact import AnstabError, LaurentGR, gr
+from .exact import EC, AnstabError, Laurent
 from .stability import StabilityCondition, c_act
 
 SCHEMA = 1
@@ -57,7 +57,7 @@ def _split_terms(expr: str) -> list[str]:
     return terms
 
 
-def parse_laurent(expr: str) -> LaurentGR:
+def parse_laurent(expr: str) -> Laurent:
     """Parse '-1+it', '2it^2-3/4t', 'i/3' into a Laurent polynomial."""
     coeffs: dict[int, list[Fraction]] = {}
     for term in _split_terms(expr):
@@ -80,18 +80,18 @@ def parse_laurent(expr: str) -> LaurentGR:
             re_im[1] += num
         else:
             re_im[0] += num
-    return LaurentGR({k: gr(a, b) for k, (a, b) in coeffs.items()})
+    return Laurent({k: EC.rational(a, b) for k, (a, b) in coeffs.items()})
 
 
 def parse_rational_complex(expr: str) -> tuple[Fraction, Fraction]:
     poly = parse_laurent(expr)
     if any(k != 0 for k in poly.coeffs):
         raise UsageError(f"{expr!r} must not involve t")
-    c = poly.coeff(0)
+    c = poly.coeff(0).as_gaussian()
     return c.re, c.im
 
 
-def parse_family(expr: str) -> list[LaurentGR]:
+def parse_family(expr: str) -> list[Laurent]:
     expr = expr.strip()
     if expr.startswith("(") and expr.endswith(")"):
         expr = expr[1:-1]
@@ -288,7 +288,13 @@ def _cmd_defect(args) -> int:
 def _cmd_limit(args) -> int:
     heart = _heart_from_arg(args.heart)
     if args.family.strip().startswith("{"):
-        zc = LIM.LaurentCharge.from_json(_load_json_arg(args.family))
+        data = _load_json_arg(args.family)
+        if sorted(data) != sorted(map(str, heart.labels)):
+            raise UsageError(
+                f"family labels {', '.join(sorted(data))} are not the heart's "
+                f"simples {', '.join(map(str, sorted(heart.labels)))}"
+            )
+        zc = LIM.LaurentCharge.from_json(data)
     else:
         polys = parse_family(args.family)
         if len(polys) != heart.rank():

@@ -42,7 +42,7 @@ __all__ = [
     "AnstabError",
     "GaussianRational",
     "ExactComplex",
-    "LaurentGR",
+    "Laurent",
     "PrecisionError",
     "gr",
     "mat_mul",
@@ -76,7 +76,11 @@ class PrecisionError(AnstabError, ArithmeticError):
 
 def _fractions_from_json(data, count: int) -> list[Fraction]:
     """Decode ``[n_1, d_1, ..., n_count, d_count]`` into exact fractions."""
-    if not isinstance(data, list) or len(data) != 2 * count:
+    if (
+        not isinstance(data, list)
+        or len(data) != 2 * count
+        or any(type(x) is not int for x in data)
+    ):
         raise AnstabError(f"expected {2 * count} integers, got {data!r}")
     if 0 in data[1::2]:
         raise AnstabError(f"zero denominator in {data!r}")
@@ -528,25 +532,25 @@ def phase_cmp_rational(c: GaussianRational, r: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials over the Gaussian rationals
+# Laurent polynomials over the exact complex values
 
 
-class LaurentGR:
-    """Laurent polynomial in one parameter t with Gaussian-rational coefficients."""
+class Laurent:
+    """Laurent polynomial in one parameter t (t -> 0+) with ExactComplex
+    coefficients; Gaussian-rational coefficients are lifted on construction.
+    A value for the tilt engine: phases and half-plane membership are those
+    of f(t) for all small t > 0."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, GaussianRational] | None = None):
+    def __init__(self, coeffs: Mapping[int, ExactComplex | GaussianRational] | None = None):
         cleaned = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if not c.is_zero():
-                    cleaned[int(k)] = c
+        for k, c in (coeffs or {}).items():
+            if isinstance(c, GaussianRational):
+                c = ExactComplex.from_gaussian(c)
+            if not c.is_zero():
+                cleaned[int(k)] = c
         self.coeffs = dict(sorted(cleaned.items()))
-
-    @classmethod
-    def monomial(cls, k: int, c: GaussianRational) -> "LaurentGR":
-        return cls({k: c})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -556,40 +560,51 @@ class LaurentGR:
             return None
         return min(self.coeffs)
 
-    def leading(self) -> GaussianRational:
+    def leading(self) -> ExactComplex:
         v = self.valuation()
         if v is None:
             raise ZeroDivisionError("leading coefficient of 0")
         return self.coeffs[v]
 
-    def coeff(self, k: int) -> GaussianRational:
-        return self.coeffs.get(k, _GR_ZERO)
+    def coeff(self, k: int) -> ExactComplex:
+        return self.coeffs.get(k, ExactComplex.zero())
 
-    def __add__(self, other: "LaurentGR") -> "LaurentGR":
+    def __add__(self, other: "Laurent") -> "Laurent":
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, _GR_ZERO) + c
-        return LaurentGR(out)
+            out[k] = out[k] + c if k in out else c
+        return Laurent(out)
 
-    def __neg__(self) -> "LaurentGR":
-        return LaurentGR({k: -c for k, c in self.coeffs.items()})
+    def __neg__(self) -> "Laurent":
+        return Laurent({k: -c for k, c in self.coeffs.items()})
 
-    def __sub__(self, other: "LaurentGR") -> "LaurentGR":
-        return self + (-other)
+    def __mul__(self, other) -> "Laurent":
+        """Coefficientwise product with an int, Fraction, Gaussian or
+        ExactComplex; the factor 1, which every tilt in A_n type uses, is free."""
+        if other == 1:
+            return self
+        return Laurent({k: c * other for k, c in self.coeffs.items()})
 
-    def scale(self, c) -> "LaurentGR":
-        if not isinstance(c, GaussianRational):
-            c = gr(c)
-        return LaurentGR({k: v * c for k, v in self.coeffs.items()})
+    def in_upper_semiclosed(self) -> bool:
+        """Whether f(t) lies in H for all small t > 0: the sign of the lowest
+        nonzero Im coefficient decides, else that of the lowest nonzero Re."""
+        s = next(filter(None, (c.im_sign() for c in self.coeffs.values())), 0)
+        if s:
+            return s > 0
+        return next(filter(None, (c.re_sign() for c in self.coeffs.values())), 0) < 0
 
-    def eval_fraction(self, t: Fraction) -> GaussianRational:
-        total = _GR_ZERO
+    def cmp_phase(self, other: "Laurent") -> int:
+        """Compare the phases of the leading coefficients."""
+        return self.leading().cmp_phase(other.leading())
+
+    def eval_fraction(self, t: Fraction) -> ExactComplex:
+        total = ExactComplex.zero()
         for k, c in self.coeffs.items():
             total = total + c * (t**k)
         return total
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentGR) and self.coeffs == other.coeffs
+        return isinstance(other, Laurent) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(tuple(self.coeffs.items()))
@@ -597,7 +612,7 @@ class LaurentGR:
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
-        return " + ".join(f"({c})*t^{k}" for k, c in self.coeffs.items())
+        return " + ".join(f"{c!r}*t^{k}" for k, c in self.coeffs.items())
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Exact limit extraction for one-parameter families of central charges.
 
-A family is a Laurent polynomial in a parameter t per simple (t -> 0+), with
-Gaussian-rational coefficients; extraction accumulates a global rational
-rotation, starting from 0.  Everything is decided symbolically:
+A family is a Laurent polynomial in a parameter t per simple (t -> 0+),
+``exact.Laurent``, whose coefficients are ExactComplex values (Gaussian
+rationals at the input).  The families are ordinary values for the tilt
+engine ``stability.TiltState``, and everything is decided symbolically:
 
 * admissibility (values in the semi-closed upper half plane for all small
   t > 0) reads off the sign of the first nonvanishing imaginary, then real,
-  coefficient after rotation;
+  coefficient;
 * the level order compares t-adic valuations: a simple dominates another
   exactly when its valuation is smaller or equal;
 * the limit charge at each level is the leading coefficient, once none of
-  them sits on the positive real axis.  If one does, the family is rotated
-  by the smallest schedule value 1/q (q = 64, 32, ...) that leaves every
-  indecomposable leading phase off the axis, the hearts are retilted
-  symbolically by the tilt engine ``stability.TiltState``, and the
-  extraction restarts.
+  them sits on the positive real axis.  If one does, the families are
+  rotated by the smallest schedule value 1/q (q = 64, 32, ...) that leaves
+  every indecomposable leading phase off the axis, by ``TiltState.act_from``
+  (rotate, then settle, as in ``c_act``), and the check repeats.  The
+  rotation is one more atom factor on the coefficients.
 
 The returned rotation lets callers undo the rotation branch exactly.
 """
@@ -26,13 +27,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .anquiver import enumerate_strings
-from .exact import (
-    EC,
-    AnstabError,
-    GaussianRational,
-    LaurentGR,
-    _atom_sign,
-)
+from .exact import EC, AnstabError, GaussianRational, Laurent
 from .hearts import Heart
 from .multiscale import MscError, MultiScaleStab, validate_msc
 from .stability import TiltState
@@ -53,18 +48,21 @@ ROTATION_SCHEDULE = tuple(Fraction(1, q) for q in (64, 32, 16, 8, 4))
 class LaurentCharge:
     """Per-simple Laurent polynomials."""
 
-    families: tuple[tuple[int, LaurentGR], ...]
+    families: tuple[tuple[int, Laurent], ...]
 
     @staticmethod
-    def build(values: Mapping[int, LaurentGR | Mapping[int, GaussianRational]]) -> "LaurentCharge":
+    def build(values: Mapping[int, Laurent | Mapping[int, GaussianRational]]) -> "LaurentCharge":
+        """Coefficients must be Gaussian rationals, which ``to_json`` writes."""
         fams = []
         for l, f in values.items():
-            if not isinstance(f, LaurentGR):
-                f = LaurentGR(dict(f))
+            if not isinstance(f, Laurent):
+                f = Laurent(dict(f))
+            if any(c.as_gaussian() is None for c in f.coeffs.values()):
+                raise AnstabError(f"simple {l}: family coefficients must be Gaussian rationals")
             fams.append((int(l), f))
         return LaurentCharge(tuple(sorted(fams)))
 
-    def family(self, label: int) -> LaurentGR:
+    def family(self, label: int) -> Laurent:
         for l, f in self.families:
             if l == label:
                 return f
@@ -79,33 +77,28 @@ class LaurentCharge:
 
     @staticmethod
     def from_json(data: Mapping) -> "LaurentCharge":
-        return LaurentCharge.build(
-            {
-                int(l): {int(k): GaussianRational.from_json(c) for k, *c in terms}
-                for l, terms in data.items()
-            }
-        )
+        """The inverse of ``to_json``: exponents are JSON integers, distinct
+        within each family."""
+        fams = {}
+        for l, terms in data.items():
+            coeffs = {}
+            for k, *c in terms:
+                if type(k) is not int:
+                    raise AnstabError(f"simple {l}: exponent {k!r} is not an integer")
+                if k in coeffs:
+                    raise AnstabError(f"simple {l}: exponent {k} appears twice")
+                coeffs[k] = GaussianRational.from_json(c)
+            fams[int(l)] = coeffs
+        return LaurentCharge.build(fams)
 
 
-def _series_sign(part: str, rot: Fraction, f: LaurentGR) -> int:
-    """The sign of ``part`` ("re" or "im") of the lowest-order term it does not kill."""
-    signs = (_atom_sign(rot, f.coeffs[k], part) for k in sorted(f.coeffs))
-    return next((s for s in signs if s), 0)
-
-
-def _eventually_in_h(rot: Fraction, f: LaurentGR) -> bool:
-    """Whether e^(-i*pi*rot) * f(t) lies in the half plane for all small t > 0."""
-    if f.is_zero():
-        return False
-    s = _series_sign("im", rot, f)
-    if s:
-        return s > 0
-    return _series_sign("re", rot, f) < 0
-
-
-def _on_positive_reals(rot: Fraction, lead) -> bool:
-    """Whether e^(-i*pi*rot) * lead lies on R_{>0}."""
-    return _atom_sign(rot, lead, "im") == 0 and _atom_sign(rot, lead, "re") > 0
+def _on_positive_reals(v: EC) -> bool:
+    """Whether v lies on R_{>0}.  A single atom has a rational phase exactly
+    when it lies on an axis or a diagonal (Niven), so its phase fraction
+    decides without intervals."""
+    if len(v.atoms) == 1:
+        return v.phase_fraction() == 0
+    return v.im_sign() == 0 and v.re_sign() > 0
 
 
 @dataclass(frozen=True)
@@ -143,40 +136,11 @@ def _check_admissible(heart: Heart, zc: LaurentCharge) -> None:
         f = zc.family(l)
         if f.is_zero():
             bad.append((l, "identically zero"))
-        elif not _eventually_in_h(Fraction(0), f):
+        elif not f.in_upper_semiclosed():
             bad.append((l, "leaves the semi-closed upper half plane near t=0"))
     if bad:
         msg = "; ".join(f"simple {l}: {why}" for l, why in bad)
         raise InadmissibleFamily(msg)
-
-
-@dataclass(frozen=True)
-class _Family:
-    """A family rotated by e^(-i*pi*rot), as a value for the tilt engine."""
-
-    rot: Fraction
-    f: LaurentGR
-
-    def __add__(self, other: "_Family") -> "_Family":
-        return _Family(self.rot, self.f + other.f)
-
-    def __mul__(self, m: int) -> "_Family":
-        return _Family(self.rot, self.f.scale(m))
-
-    def __neg__(self) -> "_Family":
-        return _Family(self.rot, -self.f)
-
-    def is_zero(self) -> bool:
-        return self.f.is_zero()
-
-    def in_upper_semiclosed(self) -> bool:
-        return _eventually_in_h(self.rot, self.f)
-
-    def cmp_phase(self, other: "_Family") -> int:
-        """Compare the phases of the leading terms."""
-        a = EC([(self.rot, Fraction(0), self.f.leading())])
-        b = EC([(other.rot, Fraction(0), other.f.leading())])
-        return a.cmp_phase(b)
 
 
 def extract_limit(heart: Heart, zc: LaurentCharge):
@@ -188,44 +152,31 @@ def extract_limit(heart: Heart, zc: LaurentCharge):
     always picks the earliest admissible schedule value.
     """
     _check_admissible(heart, zc)
-    fams = {l: f for l, f in zc.families}
+    st = TiltState(heart, [dict(zc.families)])
+    st.settle(0)
     rot = Fraction(0)
-    heart_cur = heart
     for _round in range(len(ROTATION_SCHEDULE) + 1):
-        st = TiltState(heart_cur, [{l: _Family(rot, f) for l, f in fams.items()}])
-        st.settle(0)
-        heart_cur = st.heart
-        fams = {l: v.f for l, v in st.charges[0].items()}
-        vals = {l: fams[l].valuation() for l in heart_cur.labels}
-        distinct = sorted(set(vals.values()))
-        if not any(_on_positive_reals(rot, fams[l].leading()) for l in heart_cur.labels):
-            charges = []
-            for i, v in enumerate(distinct):
-                ch = {}
-                for l in heart_cur.labels:
-                    if vals[l] < v:
-                        continue
-                    if vals[l] == v:
-                        ch[l] = EC([(rot, Fraction(0), fams[l].leading())])
-                    else:
-                        ch[l] = EC.zero()
-                charges.append(ch)
-            return validate_msc(heart_cur, charges), rot
+        h, fams = st.heart, st.charges[0]
+        vals = {l: fams[l].valuation() for l in h.labels}
+        if not any(_on_positive_reals(fams[l].leading()) for l in h.labels):
+            charges = [
+                {l: fams[l].leading() if vals[l] == v else EC.zero()
+                 for l in h.labels if vals[l] >= v}
+                for v in sorted(set(vals.values()))
+            ]
+            return validate_msc(h, charges), rot
         # leading terms of the nonzero indecomposable charges
-        leads = []
-        for s in enumerate_strings(heart_cur.ext):
-            dv = s.dimension_vector(heart_cur.ext.vertices)
-            total = LaurentGR()
-            for m, v in zip(dv, heart_cur.ext.vertices):
-                if m:
-                    total = total + fams[v].scale(m)
-            if not total.is_zero():
-                leads.append(total.leading())
+        vs = h.ext.vertices
+        totals = (
+            sum((fams[v] * m for m, v in zip(s.dimension_vector(vs), vs) if m), Laurent())
+            for s in enumerate_strings(h.ext)
+        )
+        leads = [f.leading() for f in totals if not f.is_zero()]
         lam = next(
             (
                 lam
                 for lam in ROTATION_SCHEDULE
-                if not any(_on_positive_reals(rot + lam, c) for c in leads)
+                if not any(_on_positive_reals(c * EC.unit(lam)) for c in leads)
             ),
             None,
         )
@@ -234,7 +185,8 @@ def extract_limit(heart: Heart, zc: LaurentCharge):
                 "no admissible rotation in the schedule: the degeneration "
                 "is horizontal, which cannot occur in finite A_n type"
             )
-        rot = rot + lam
+        st.act_from(0, lam, Fraction(0))
+        rot += lam
     raise LimitError("rotation branch did not stabilize")
 
 
@@ -244,12 +196,12 @@ def plumbing_ray(m: MultiScaleStab) -> tuple[Heart, LaurentCharge]:
     Feeding the result back through extract_limit recovers an equivalent
     multi-scale object.
     """
-    fams: dict[int, LaurentGR] = {}
+    fams: dict[int, Laurent] = {}
     for l in m.top.labels:
         depth = max(i for i in range(m.L + 1) if l in m.labels(i))
         v = m.charge(depth)[l]
         g = v.as_gaussian()
         if g is None:
             raise MscError("plumbing rays need plain Gaussian-rational charges")
-        fams[l] = LaurentGR.monomial(depth, g)
+        fams[l] = Laurent({depth: g})
     return m.top, LaurentCharge.build(fams)

@@ -12,7 +12,7 @@ shift, purely imaginary lam rescales without touching the heart.
 ``TiltState`` is the one engine behind this repair loop.  ``c_act`` is its
 zero-level case; ``multiscale`` runs it on nested level charges for the
 multi-scale action and plumbing, and ``limits`` on Laurent families to
-retilt degeneration limits.
+rotate and retilt degeneration limits.
 """
 
 from __future__ import annotations
@@ -203,9 +203,11 @@ class TiltState:
 
     ``levels`` lists the label subsets N_1 > ... > N_L and ``charges[i]`` the
     values on N_i (the zero-level case is a plain stability condition).
-    Values are duck-typed: the engine needs ``+``, integer ``*``, unary
-    ``-``, ``is_zero``, ``in_upper_semiclosed`` and ``cmp_phase``; rotations
-    (``act_from``) additionally multiply by an ExactComplex.  A tilt at s
+    Values are ``ExactComplex`` charges or, for degeneration limits,
+    ``exact.Laurent`` families with ExactComplex coefficients; the engine
+    needs ``+``, unary ``-``, ``is_zero``, ``in_upper_semiclosed``,
+    ``cmp_phase`` and ``value * x`` for an integer x (tilts) or an
+    ExactComplex x (rotations, ``act_from``).  A tilt at s
     updates every level holding s alongside the K-classes; settling
     forward-tilts at the quotient simple of minimal phase (ties by label)
     until every quotient value lies in H, against one cap of 80n^2 + 16.
@@ -254,7 +256,7 @@ class TiltState:
         for i in range(i0, self.L + 1):
             ch = self.charges[i]
             for l in ch:
-                ch[l] = factor * ch[l]
+                ch[l] = ch[l] * factor
 
     def depth_of(self, s: int) -> int:
         d = 0

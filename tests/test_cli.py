@@ -33,6 +33,11 @@ def a2_msc_deep(charge2) -> str:
     return json.dumps({"schema": 1, "top_heart": A2_HEART, "levels": [top, deep]})
 
 
+def a2_limit(family) -> list[str]:
+    """``limit`` on A2 with the JSON ``family``."""
+    return ["limit", "--heart", "A2", "--family", json.dumps(family)]
+
+
 # Two simples that share the label 1.
 REPEATED_LABEL_SIGMA = json.dumps({
     "heart": {
@@ -89,20 +94,20 @@ class TestParsers:
         from fractions import Fraction as F
 
         f = parse_laurent("-1+it")
-        assert f.coeffs == {0: gr(-1), 1: gr(0, 1)}
+        assert f.coeffs == {0: EC.from_gaussian(gr(-1)), 1: EC.from_gaussian(gr(0, 1))}
         g = parse_laurent("2it^2-3/4t+i/3")
         assert g.coeffs == {
-            0: gr(0, F(1, 3)),
-            1: gr(F(-3, 4)),
-            2: gr(0, 2),
+            0: EC.from_gaussian(gr(0, F(1, 3))),
+            1: EC.from_gaussian(gr(F(-3, 4))),
+            2: EC.from_gaussian(gr(0, 2)),
         }
         h = parse_laurent("-t^-1+i")
-        assert h.coeffs == {-1: gr(-1), 0: gr(0, 1)}
+        assert h.coeffs == {-1: EC.from_gaussian(gr(-1)), 0: EC.from_gaussian(gr(0, 1))}
 
     def test_family(self):
         fams = parse_family("(-1+it, 1+it)")
         assert len(fams) == 2
-        assert fams[0].coeffs == {0: gr(-1), 1: gr(0, 1)}
+        assert fams[0].coeffs == {0: EC.from_gaussian(gr(-1)), 1: EC.from_gaussian(gr(0, 1))}
 
     def test_braid(self):
         w = parse_braid_word("(1 2)^3")
@@ -332,6 +337,14 @@ class TestExitCodes:
             ["braid", "--n", "2", "--word", "[[1.5,1]]"],
             ["braid", "--n", "2", "--word", "[[true,1]]"],
             ["braid", "--n", "2", "--word", "[[1,true]]"],
+            ["c-act", a2_sigma([True, 1, 1, 1]), "--lam", "1/2"],
+            ["c-act", a2_sigma([-1, 1, 1.0, 1]), "--lam", "1/2"],
+            a2_limit({"1": [[0.5, -1, 1, 0, 1], [1, 0, 1, 1, 1]], "2": [[0, 1, 1, 1, 1]]}),
+            a2_limit({"1": [[True, -1, 1, 0, 1]], "2": [[0, 1, 1, 1, 1]]}),
+            a2_limit({"1": [[0, 1, 1, 0, 1], [0, -2, 1, 0, 1], [1, 0, 1, 1, 1]],
+                      "2": [[0, 1, 1, 1, 1]]}),
+            a2_limit({"1": [[0, -1, 1, 0, 1]], "2": [[0, 1, 1, 1, 1]], "7": [[0, 0, 1, 1, 1]]}),
+            a2_limit({"1": [[0, -1, 1, 0, 1]]}),
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv):
@@ -352,6 +365,10 @@ class TestExitCodes:
              "charge is not a map"),
             (["msc-validate", json.dumps({"top_heart": A2_HEART, "levels": [{"charge": []}]})],
              "level 0 charge is not a map"),
+            (["c-act", a2_sigma([True, 1, 1, 1]), "--lam", "1/2"],
+             "simple 1: expected 4 integers, got [True, 1, 1, 1]"),
+            (["c-act", a2_sigma([-1, 1, 1.0, 1]), "--lam", "1/2"],
+             "simple 1: expected 4 integers, got [-1, 1, 1.0, 1]"),
         ],
     )
     def test_charge_decode_errors_say_where(self, capsys, argv, where):

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from anstab import exact
 from anstab.exact import (
     EC,
-    LaurentGR,
+    Laurent,
     PrecisionError,
     det_adjugate,
     gr,
@@ -199,16 +199,16 @@ class TestExactComplex:
 
 class TestLaurent:
     def test_basic(self):
-        f = LaurentGR({0: gr(-1), 1: gr(0, 1)})
-        g = LaurentGR({1: gr(0, 1), 0: gr(1)})
-        assert (f + g) == LaurentGR({1: gr(0, 2)})
+        f = Laurent({0: gr(-1), 1: gr(0, 1)})
+        g = Laurent({1: gr(0, 1), 0: gr(1)})
+        assert (f + g) == Laurent({1: gr(0, 2)})
         assert f.valuation() == 0
         assert (f + g).valuation() == 1
-        assert f.scale(gr(0, 1)).coeff(0) == gr(0, -1)
+        assert (f * gr(0, 1)).coeff(0) == EC.from_gaussian(gr(0, -1))
 
     def test_eval(self):
-        f = LaurentGR({-1: gr(1), 2: gr(0, 3)})
-        assert f.eval_fraction(F(1, 2)) == gr(2, F(3, 4))
+        f = Laurent({-1: gr(1), 2: gr(0, 3)})
+        assert f.eval_fraction(F(1, 2)) == EC.from_gaussian(gr(2, F(3, 4)))
 
 
 class TestLinearAlgebra:

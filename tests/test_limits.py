@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from anstab.exact import EC, gr
-from anstab.hearts import forward_tilt, heart_equal, standard_heart
+from anstab import exact
+from anstab.exact import EC, AnstabError, gr
+from anstab.hearts import backward_tilt, forward_tilt, heart_equal, standard_heart
 from anstab.limits import (
     InadmissibleFamily,
     LaurentCharge,
@@ -129,6 +130,78 @@ class TestExtractLimit:
             )
 
 
+def random_admissible_family(rng, labels):
+    """Per label 1-3 terms with exponents in -1..3.  The lowest term is in H
+    off the axes, on R_{<0} or on R_{>0}; after a real one the next term has
+    Im > 0."""
+    def rational(lo, hi):
+        return F(rng.randrange(lo, hi), rng.randrange(1, 4))
+
+    fams = {}
+    for l in labels:
+        ks = sorted(rng.sample(range(-1, 3), rng.randrange(1, 4)))
+        terms = {k: gr(rational(-4, 5), rational(-4, 5)) for k in ks}
+        r = rng.random()
+        if r < 0.7:
+            terms[ks[0]] = gr(rational(-4, 5) or 1, rational(1, 5))
+        else:
+            if len(ks) == 1:
+                ks.append(ks[0] + 1)
+            terms[ks[0]] = gr(rational(-4, 0) if r < 0.85 else rational(1, 5))
+            terms[ks[1]] = gr(rational(-4, 5), rational(1, 5))
+        fams[l] = terms
+    return fams
+
+
+def class_family(heart, fams, gamma):
+    """The family of the K-class gamma: its heart coordinates times the
+    simples' families, as Gaussian coefficients by exponent."""
+    total = {}
+    for l, x in heart.coords(gamma).items():
+        for k, c in fams[l].items():
+            total[k] = total.get(k, gr(0)) + c * x
+    return {k: c for k, c in total.items() if not c.is_zero()}
+
+
+class TestExtractLimitProperties:
+    def test_seeded_families_on_tilted_hearts(self):
+        rng = random.Random(13)
+        rotated = 0
+        for _ in range(200):
+            n = rng.randrange(2, 6)
+            h = standard_heart(n)
+            for _ in range(rng.randrange(0, 5)):
+                tilt = forward_tilt if rng.random() < 0.6 else backward_tilt
+                h = tilt(h, rng.choice(h.labels))
+            fams = random_admissible_family(rng, h.labels)
+            m, rot = extract_limit(h, LaurentCharge.build(fams))
+            rotated += rot > 0
+            undo = EC.unit(-rot)
+            expected = {l: class_family(h, fams, m.top.cls(l)) for l in m.top.labels}
+            valuations = []
+            for i in range(m.L + 1):
+                ch = m.charge(i)
+                v = min(min(expected[l]) for l in ch if not ch[l].is_zero())
+                valuations.append(v)
+                for l, value in ch.items():
+                    assert min(expected[l]) >= v
+                    assert value * undo == EC.from_gaussian(expected[l].get(v, gr(0)))
+                for l in m.quotient_labels(i):
+                    assert ch[l].in_upper_semiclosed()
+            assert valuations == sorted(set(valuations))
+        assert 40 <= rotated <= 160
+
+    def test_positive_real_test_is_symbolic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a sign went to interval arithmetic")
+
+        monkeypatch.setattr(exact, "_certified_sign", refuse)
+        # the string S_1 + S_2 leads with 2 + i, whose phase is irrational
+        zc = LaurentCharge.build({1: {0: gr(2), 1: gr(0, 1)}, 2: {0: gr(0, 1), 1: gr(0, 1)}})
+        m, rot = extract_limit(standard_heart(2), zc)
+        assert rot == F(1, 64)
+
+
 class TestPlumbingRay:
     def test_roundtrip_sample(self):
         rng = random.Random(9)
@@ -143,8 +216,8 @@ class TestPlumbingRay:
         h = standard_heart(2)
         m = validate_msc(h, [{1: gr(0, 1), 2: gr(0)}, {2: gr(-1, 2)}])
         heart, ray = plumbing_ray(m)
-        assert ray.family(1).coeffs == {0: gr(0, 1)}
-        assert ray.family(2).coeffs == {1: gr(-1, 2)}
+        assert ray.family(1).coeffs == {0: EC.from_gaussian(gr(0, 1))}
+        assert ray.family(2).coeffs == {1: EC.from_gaussian(gr(-1, 2))}
 
 
 class TestSerialization:
@@ -152,3 +225,7 @@ class TestSerialization:
         zc = degenerating_family()
         again = LaurentCharge.from_json(zc.to_json())
         assert again.families == zc.families
+
+    def test_coefficients_stay_gaussian(self):
+        with pytest.raises(AnstabError, match="Gaussian rationals"):
+            LaurentCharge.build({1: {0: EC.unit(F(1, 3))}})
