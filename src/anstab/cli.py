@@ -287,8 +287,11 @@ def _cmd_defect(args) -> int:
 
 def _cmd_limit(args) -> int:
     heart = _heart_from_arg(args.heart)
-    if args.family.strip().startswith("{"):
-        data = _load_json_arg(args.family)
+    fam = args.family
+    if fam == "-" or os.path.exists(fam) or fam.strip().startswith("{"):
+        data = _load_json_arg(fam)
+        if not isinstance(data, dict):
+            raise UsageError("--family JSON must be an object from labels to terms")
         if sorted(data) != sorted(map(str, heart.labels)):
             raise UsageError(
                 f"family labels {', '.join(sorted(data))} are not the heart's "
@@ -296,7 +299,7 @@ def _cmd_limit(args) -> int:
             )
         zc = LIM.LaurentCharge.from_json(data)
     else:
-        polys = parse_family(args.family)
+        polys = parse_family(fam)
         if len(polys) != heart.rank():
             raise UsageError("family arity does not match the heart rank")
         zc = LIM.LaurentCharge.build(dict(zip(heart.labels, polys)))
@@ -431,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("limit", help="extract the limit of a Laurent family")
     sp.add_argument("--heart", required=True)
-    sp.add_argument("--family", required=True, help="'(-1+it, 1+it)' or JSON")
+    sp.add_argument("--family", required=True, help="'(-1+it, 1+it)', or JSON text, file or -")
     sp.add_argument("--format", default="json", choices=["json", "table"])
     sp.set_defaults(func=_cmd_limit)
 

@@ -115,8 +115,9 @@ class GaussianRational:
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,
             )
-        q = Fraction(other)
-        return GaussianRational(self.re * q, self.im * q)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -341,10 +342,9 @@ class ExactComplex:
                     )
                 ]
             )
-        if isinstance(other, GaussianRational):
+        if isinstance(other, (GaussianRational, int, Fraction)):
             return ExactComplex([(r, s, c * other) for r, s, c in self.atoms])
-        q = Fraction(other)
-        return ExactComplex([(r, s, c * q) for r, s, c in self.atoms])
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -581,9 +581,13 @@ class Laurent:
     def __mul__(self, other) -> "Laurent":
         """Coefficientwise product with an int, Fraction, Gaussian or
         ExactComplex; the factor 1, which every tilt in A_n type uses, is free."""
+        if not isinstance(other, (ExactComplex, GaussianRational, int, Fraction)):
+            return NotImplemented
         if other == 1:
             return self
         return Laurent({k: c * other for k, c in self.coeffs.items()})
+
+    __rmul__ = __mul__
 
     def in_upper_semiclosed(self) -> bool:
         """Whether f(t) lies in H for all small t > 0: the sign of the lowest

@@ -1,8 +1,8 @@
 """Exact limit extraction for one-parameter families of central charges.
 
 A family is a Laurent polynomial in a parameter t per simple (t -> 0+),
-``exact.Laurent``, whose coefficients are ExactComplex values (Gaussian
-rationals at the input).  The families are ordinary values for the tilt
+``exact.Laurent``, whose coefficients are ExactComplex values of any form the
+charge codec reads and writes.  The families are ordinary values for the tilt
 engine ``stability.TiltState``, and everything is decided symbolically:
 
 * admissibility (values in the semi-closed upper half plane for all small
@@ -29,7 +29,7 @@ from typing import Mapping
 from .anquiver import enumerate_strings
 from .exact import EC, AnstabError, GaussianRational, Laurent
 from .hearts import Heart
-from .multiscale import MscError, MultiScaleStab, validate_msc
+from .multiscale import MultiScaleStab, validate_msc
 from .stability import TiltState
 
 
@@ -51,16 +51,12 @@ class LaurentCharge:
     families: tuple[tuple[int, Laurent], ...]
 
     @staticmethod
-    def build(values: Mapping[int, Laurent | Mapping[int, GaussianRational]]) -> "LaurentCharge":
-        """Coefficients must be Gaussian rationals, which ``to_json`` writes."""
-        fams = []
-        for l, f in values.items():
-            if not isinstance(f, Laurent):
-                f = Laurent(dict(f))
-            if any(c.as_gaussian() is None for c in f.coeffs.values()):
-                raise AnstabError(f"simple {l}: family coefficients must be Gaussian rationals")
-            fams.append((int(l), f))
-        return LaurentCharge(tuple(sorted(fams)))
+    def build(values: Mapping[int, Laurent | Mapping[int, EC | GaussianRational]]) -> "LaurentCharge":
+        """Families from Laurent polynomials or ``{k: coefficient}`` maps."""
+        return LaurentCharge(tuple(sorted(
+            (int(l), f if isinstance(f, Laurent) else Laurent(dict(f)))
+            for l, f in values.items()
+        )))
 
     def family(self, label: int) -> Laurent:
         for l, f in self.families:
@@ -69,9 +65,14 @@ class LaurentCharge:
         raise LimitError(f"no family for simple {label}")
 
     def to_json(self) -> dict:
-        """Per simple, the terms ``[k, a, b, c, d]`` of (a/b + (c/d) i) t^k."""
+        """Per simple, its terms: ``[k, a, b, c, d]`` for a Gaussian coefficient
+        (a/b + (c/d) i) t^k, else ``[k, v]`` with v the coefficient's charge
+        codec form (``ExactComplex.to_json``)."""
         return {
-            str(l): [[k, *c.to_json()] for k, c in f.coeffs.items()]
+            str(l): [
+                [k, *v] if isinstance(v := c.to_json(), list) else [k, v]
+                for k, c in f.coeffs.items()
+            ]
             for l, f in self.families
         }
 
@@ -87,7 +88,7 @@ class LaurentCharge:
                     raise AnstabError(f"simple {l}: exponent {k!r} is not an integer")
                 if k in coeffs:
                     raise AnstabError(f"simple {l}: exponent {k} appears twice")
-                coeffs[k] = GaussianRational.from_json(c)
+                coeffs[k] = EC.from_json(c[0] if len(c) == 1 else c)
             fams[int(l)] = coeffs
         return LaurentCharge.build(fams)
 
@@ -191,17 +192,14 @@ def extract_limit(heart: Heart, zc: LaurentCharge):
 
 
 def plumbing_ray(m: MultiScaleStab) -> tuple[Heart, LaurentCharge]:
-    """The symbolic ray Z_0 + t Z_1 + t^2 Z_2 + ... of a rational msc.
+    """The symbolic ray Z_0 + t Z_1 + t^2 Z_2 + ... of a multi-scale object:
+    each simple's charge at its deepest level, as the coefficient of t^depth.
 
     Feeding the result back through extract_limit recovers an equivalent
     multi-scale object.
     """
-    fams: dict[int, Laurent] = {}
+    fams = {}
     for l in m.top.labels:
         depth = max(i for i in range(m.L + 1) if l in m.labels(i))
-        v = m.charge(depth)[l]
-        g = v.as_gaussian()
-        if g is None:
-            raise MscError("plumbing rays need plain Gaussian-rational charges")
-        fams[l] = Laurent({depth: g})
+        fams[l] = Laurent({depth: m.charge(depth)[l]})
     return m.top, LaurentCharge.build(fams)

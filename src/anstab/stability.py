@@ -34,28 +34,27 @@ class WallHit(StabilityError):
     """A charge landed on the positive real axis and no tilt can absorb it."""
 
 
+def _rational(q) -> Fraction:
+    """An int or Fraction as a Fraction; floats and strings are not exact input."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, got {q!r}")
+    return Fraction(q)
+
+
 def as_lambda(lam) -> tuple[Fraction, Fraction]:
-    """Coerce a rotation parameter to exact (re, im) rationals."""
+    """Coerce a rotation parameter (pair, Gaussian, rational) to exact (re, im)."""
     if isinstance(lam, tuple):
-        return Fraction(lam[0]), Fraction(lam[1])
+        return _rational(lam[0]), _rational(lam[1])
     if isinstance(lam, GaussianRational):
         return lam.re, lam.im
-    if isinstance(lam, complex):
-        return Fraction(lam.real), Fraction(lam.imag)
-    return Fraction(lam), Fraction(0)
+    return _rational(lam), Fraction(0)
 
 
 def as_exact_value(v) -> ExactComplex:
-    """Coerce a charge entry (exact, Gaussian, complex, pair, rational)."""
+    """Coerce a charge entry (exact, Gaussian, pair, rational)."""
     if isinstance(v, ExactComplex):
         return v
-    if isinstance(v, GaussianRational):
-        return EC.from_gaussian(v)
-    if isinstance(v, complex):
-        return EC.rational(Fraction(v.real), Fraction(v.imag))
-    if isinstance(v, tuple):
-        return EC.rational(Fraction(v[0]), Fraction(v[1]))
-    return EC.rational(Fraction(v))
+    return EC.rational(*as_lambda(v))
 
 
 def charge_from_values(heart: Heart, values: Mapping[int, object]) -> dict[int, ExactComplex]:

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from fractions import Fraction as F
@@ -155,6 +156,37 @@ class TestCommands:
         data = json.loads(out)
         assert data["rotation"] == [0, 1]
         assert [lvl["simples"] for lvl in data["result"]["levels"]] == [[1, 2], [2]]
+
+    def test_limit_family_from_file_and_stdin(self, capsys, tmp_path, monkeypatch):
+        family = {"1": [[0, -1, 1, 0, 1], [1, 0, 1, 1, 1]], "2": [[0, 1, 1, 0, 1], [1, 0, 1, 1, 1]]}
+        _, expected, _ = run(capsys, *a2_limit(family))
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(family))
+        assert run(capsys, "limit", "--heart", "A2", "--family", str(path)) == (0, expected, "")
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(family)))
+        assert run(capsys, "limit", "--heart", "A2", "--family", "-") == (0, expected, "")
+
+    def test_limit_family_json_must_be_an_object(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text('["1", "2"]')
+        code, out, err = run(capsys, "limit", "--heart", "A2", "--family", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: --family JSON must be an object")
+        assert err.count("\n") == 1
+
+    def test_limit_non_gaussian_family(self, capsys):
+        family = {
+            "1": [[0, {"rot": [-1, 3], "scale": [0, 1], "gauss": [1, 1, 0, 1]}]],
+            "2": [[0, -1, 1, 0, 1]],
+        }
+        code, out, _ = run(capsys, *a2_limit(family))
+        assert code == 0
+        data = json.loads(out)
+        assert data["rotation"] == [0, 1]
+        [level] = data["result"]["levels"]
+        assert {l: EC.from_json(v) for l, v in level["charge"].items()} == {
+            "1": EC.unit(F(-1, 3)), "2": EC.rational(-1)
+        }
 
     def test_twist_data(self, capsys):
         code, out, _ = run(capsys, "twist-data", "--rho", "[[2]]")

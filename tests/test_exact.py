@@ -210,6 +210,21 @@ class TestLaurent:
         f = Laurent({-1: gr(1), 2: gr(0, 3)})
         assert f.eval_fraction(F(1, 2)) == EC.from_gaussian(gr(2, F(3, 4)))
 
+    def test_exact_factor_on_either_side(self):
+        f = Laurent({0: gr(1, 2), 1: EC.unit(F(1, 3))})
+        assert EC.unit(1) * f == f * EC.unit(1) == -f
+        with pytest.raises(TypeError):
+            f * f
+
+
+@pytest.mark.parametrize("other", ["1/2", 0.1, 0.5j])
+def test_products_take_no_float_or_string(other):
+    for value in (EC.rational(1), gr(1)):
+        with pytest.raises(TypeError):
+            value * other
+        with pytest.raises(TypeError):
+            other * value
+
 
 class TestLinearAlgebra:
     def test_adjugate(self):

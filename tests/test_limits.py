@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from anstab import exact
-from anstab.exact import EC, AnstabError, gr
+from anstab.exact import EC, gr
 from anstab.hearts import backward_tilt, forward_tilt, heart_equal, standard_heart
 from anstab.limits import (
     InadmissibleFamily,
@@ -13,7 +14,7 @@ from anstab.limits import (
     order_relation,
     plumbing_ray,
 )
-from anstab.multiscale import equivalent, validate_msc
+from anstab.multiscale import INFTY, c_act_msc, equivalent, plumb, validate_msc
 from anstab.sampling import random_msc
 
 
@@ -212,6 +213,34 @@ class TestPlumbingRay:
             assert rot == 0
             assert equivalent(back, m)
 
+    def test_roundtrip_after_action_and_plumbing(self):
+        """Rays of the non-Gaussian charges c_act_msc and plumb write: Re lam
+        and Re tau have denominators up to 12."""
+        def rational(rng, lo, hi, den=12):
+            return F(rng.randrange(lo, hi), rng.randrange(1, den + 1))
+
+        count = 0
+        for seed in range(120):
+            rng = random.Random(seed)
+            m = random_msc(rng, rng.randrange(2, 6), max_levels=2)
+            lam = (rational(rng, -12, 13), rational(rng, -4, 5, 4))
+            objects = [c_act_msc(m, lam)]
+            if m.L:
+                taus = [INFTY] * m.L
+                taus[rng.randrange(m.L)] = (rational(rng, 0, 12), -rational(rng, 1, 9, 3))
+                p = plumb(m, taus)
+                objects += [p, c_act_msc(p, lam)]
+            for o in objects:
+                heart, ray = plumbing_ray(o)
+                back, rot = extract_limit(heart, ray)
+                assert rot == 0 and equivalent(back, o), seed
+                again = LaurentCharge.from_json(json.loads(json.dumps(ray.to_json())))
+                assert again.families == ray.families
+                count += any(
+                    c.as_gaussian() is None for _, f in ray.families for c in f.coeffs.values()
+                )
+        assert count > 200
+
     def test_ray_shape(self):
         h = standard_heart(2)
         m = validate_msc(h, [{1: gr(0, 1), 2: gr(0)}, {2: gr(-1, 2)}])
@@ -226,6 +255,11 @@ class TestSerialization:
         again = LaurentCharge.from_json(zc.to_json())
         assert again.families == zc.families
 
-    def test_coefficients_stay_gaussian(self):
-        with pytest.raises(AnstabError, match="Gaussian rationals"):
-            LaurentCharge.build({1: {0: EC.unit(F(1, 3))}})
+    def test_non_gaussian_roundtrip(self):
+        zc = LaurentCharge.build({
+            1: {0: EC.unit(F(1, 3)), 2: gr(0, F(1, 2))},
+            2: {-1: EC.unit(F(-1, 12), F(5, 4)) * gr(2, 1) + EC.unit(F(1, 5))},
+        })
+        data = json.loads(json.dumps(zc.to_json()))
+        assert data["1"][1] == [2, 0, 1, 1, 2]  # Gaussian terms keep [k, a, b, c, d]
+        assert LaurentCharge.from_json(data).families == zc.families

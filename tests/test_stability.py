@@ -7,6 +7,8 @@ from anstab.exact import EC, gr
 from anstab.hearts import Heart, HeartError, heart_equal, shift_heart, standard_heart
 from anstab.stability import (
     StabilityError,
+    as_exact_value,
+    as_lambda,
     c_act,
     indecomposable_spectrum,
     mass,
@@ -120,6 +122,16 @@ class TestAction:
         rot = EC.exp_minus_i_pi(lam)
         for gamma in [(1, 0, 0), (1, 1, 0), (2, -1, 3)]:
             assert r.value(gamma) == rot * s.value(gamma)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.1 + 0.2j, (0.5, 1), "1/2"])
+def test_coercion_takes_no_float_or_string(value):
+    with pytest.raises(TypeError):
+        as_lambda(value)
+    with pytest.raises(TypeError):
+        as_exact_value(value)
+    with pytest.raises(TypeError):
+        validate(standard_heart(2), {1: value, 2: gr(0, 1)})
 
 
 class TestSpectrum:

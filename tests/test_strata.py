@@ -228,8 +228,9 @@ class TestDoubleCover:
         assert dc.cover_genus[1] == 1  # bottom vertex lifts to genus one
 
     def test_matches_twist_data(self):
-        for n in range(2, 9):
-            for g in enumerate_graphs(n, 1):
+        # one representative per type: double_cover reads only the edges
+        for n in range(2, 13):
+            for _, _, g in census_types(n, 1):
                 sizes = sorted((k - 3 for (_, _, k) in g.edges), reverse=True)
                 data = simple_twist_data([sizes])
                 hats = sorted(c.kappa_hat for c in data.levels[0].components)
