@@ -22,6 +22,10 @@ adds to ``scale``).  Crucially, sign tests are decidable:
   rational only at rot = 0 and 1/4) and intervals decide it;
 * nonzero quantities are separated from 0 by escalating-precision interval
   arithmetic (mpmath.iv); past a 16,384-bit cap it raises ``PrecisionError``.
+  The enclosures of cos, sin, tan(pi*r) and e^(pi*s) sit in a bounded cache
+  keyed by (r, precision);
+* each value decides its Re and Im signs at most once and keeps them; a
+  ``PrecisionError`` is raised again on every call, never cached.
 
 Phases are measured in half-turns: z = m * e^(i*pi*phi) with phi in (-1, 1].
 The semi-closed upper half plane is  {phi in (0, 1]}.
@@ -29,10 +33,12 @@ The semi-closed upper half plane is  {phi in (0, 1]}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 import mpmath
@@ -85,6 +91,18 @@ def _fractions_from_json(data, count: int) -> list[Fraction]:
     if 0 in data[1::2]:
         raise AnstabError(f"zero denominator in {data!r}")
     return [Fraction(n, d) for n, d in zip(data[::2], data[1::2])]
+
+
+def _field(data, key: str, count: int) -> list[Fraction]:
+    """The ``count`` fractions in field ``key`` of a JSON object; errors name the field."""
+    if not isinstance(data, dict):
+        raise AnstabError(f"expected a charge atom object, got {data!r}")
+    if key not in data:
+        raise AnstabError(f"missing field {key!r}")
+    try:
+        return _fractions_from_json(data[key], count)
+    except AnstabError as exc:
+        raise AnstabError(f"field {key!r}: {exc}") from None
 
 
 def _fractions_to_json(*qs: Fraction) -> list[int]:
@@ -200,6 +218,13 @@ def _iv_frac(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
+@functools.lru_cache(maxsize=512)
+def _iv_pi(f, r: Fraction, prec: int):
+    """f(pi*r) for f one of iv.cos, iv.sin, iv.tan, iv.exp, with ``prec`` the
+    current ``iv.prec``: the interval a fresh evaluation gives."""
+    return f(iv.pi * _iv_frac(r))
+
+
 def _certified_sign(interval, what: str) -> int:
     """Sign of the real that ``interval()`` encloses at the current ``iv.prec``,
     doubling the precision until the enclosure excludes 0.  A nonzero value
@@ -254,7 +279,7 @@ def _atom_sign(rot: Fraction, c: GaussianRational, part: str) -> int:
     if q < 1 and rot >= _QUARTER:
         return sy
     return sx * _certified_sign(
-        lambda: _iv_frac(q) - iv.tan(iv.pi * _iv_frac(rot)), "phase comparison"
+        lambda: _iv_frac(q) - _iv_pi(iv.tan, rot, iv.prec), "phase comparison"
     )
 
 
@@ -271,31 +296,34 @@ class ExactComplex:
     e^(pi*(scale-scale')) to be a nonreal Gaussian rational resp. an
     algebraic number); a cancellation among three or more same-scale atoms
     is not yet detected.
+
+    ``im_sign`` and ``re_sign`` decide at most once per value, reading the
+    bounded per-precision interval cache; a ``PrecisionError`` is never
+    cached.  Equality and hashing read ``atoms`` only.
     """
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "_re", "_im")
 
     def __init__(self, atoms: Iterable[tuple[Fraction, Fraction, GaussianRational]] = ()):
-        merged: dict[tuple[Fraction, Fraction], GaussianRational] = {}
-        for rot, scale, c in atoms:
-            a = _normalize_atom(rot, scale, c)
-            if a is None:
-                continue
-            rot, scale, c = a
-            key = (rot, scale)
-            if key in merged:
-                merged[key] = merged[key] + c
-            else:
-                merged[key] = c
-        object.__setattr__(
-            self,
-            "atoms",
-            tuple(
-                (k[0], k[1], v)
-                for k, v in sorted(merged.items())
-                if not v.is_zero()
-            ),
-        )
+        self._set(filter(None, itertools.starmap(_normalize_atom, atoms)))
+
+    def _set(self, atoms) -> None:
+        """Store normal-form atoms: merge equal (rot, scale) keys, drop zeros, sort."""
+        merged: list[tuple[Fraction, Fraction, GaussianRational]] = []
+        for rot, scale, c in sorted(atoms, key=itemgetter(0, 1)):
+            if merged and merged[-1][0] == rot and merged[-1][1] == scale:
+                c += merged.pop()[2]
+            merged.append((rot, scale, c))
+        self.atoms = tuple(a for a in merged if not a[2].is_zero())
+        self._re = self._im = None
+
+    @classmethod
+    def _normal(cls, atoms) -> "ExactComplex":
+        """A value from atoms already in normal form, as sums, negation and
+        Gaussian multiples leave them: none of them moves a rot."""
+        v = object.__new__(cls)
+        v._set(atoms)
+        return v
 
     # -- constructors
 
@@ -324,13 +352,17 @@ class ExactComplex:
     # -- ring operations
 
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.atoms + other.atoms)
+        if not other.atoms:
+            return self
+        return ExactComplex._normal(self.atoms + other.atoms)
 
     def __sub__(self, other: "ExactComplex") -> "ExactComplex":
         return self + (-other)
 
     def __neg__(self) -> "ExactComplex":
-        return ExactComplex([(r, s, -c) for r, s, c in self.atoms])
+        v = ExactComplex._normal((r, s, -c) for r, s, c in self.atoms)
+        v._re, v._im = (None if x is None else -x for x in (self._re, self._im))
+        return v
 
     def __mul__(self, other):
         if isinstance(other, ExactComplex):
@@ -343,7 +375,9 @@ class ExactComplex:
                 ]
             )
         if isinstance(other, (GaussianRational, int, Fraction)):
-            return ExactComplex([(r, s, c * other) for r, s, c in self.atoms])
+            if other == 1:
+                return self
+            return ExactComplex._normal((r, s, c * other) for r, s, c in self.atoms)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -371,21 +405,24 @@ class ExactComplex:
                 return max(signs, default=0)
 
         def total():
-            out = iv.mpf(0)
+            out, p = iv.mpf(0), iv.prec
             for r, s, c in self.atoms:
                 x, y = _xy(c, part)
-                ang = iv.pi * _iv_frac(r)
-                val = _iv_frac(x) * iv.cos(ang) + _iv_frac(y) * iv.sin(ang)
-                out += iv.exp(iv.pi * _iv_frac(s)) * val
+                val = _iv_frac(x) * _iv_pi(iv.cos, r, p) + _iv_frac(y) * _iv_pi(iv.sin, r, p)
+                out += _iv_pi(iv.exp, s, p) * val
             return out
 
         return _certified_sign(total, f"sign of {part}")
 
     def im_sign(self) -> int:
-        return self._part_sign("im")
+        if self._im is None:
+            self._im = self._part_sign("im")
+        return self._im
 
     def re_sign(self) -> int:
-        return self._part_sign("re")
+        if self._re is None:
+            self._re = self._part_sign("re")
+        return self._re
 
     def in_upper_semiclosed(self) -> bool:
         """Membership in {m e^(i pi phi): m > 0, 0 < phi <= 1}."""
@@ -498,21 +535,24 @@ class ExactComplex:
 
     @classmethod
     def from_json(cls, data) -> "ExactComplex":
-        """The inverse of ``to_json``; a bare ``{"re", "im"}`` reads as floats."""
+        """The inverse of ``to_json``; a bare ``{"re", "im"}`` reads as floats.
+        Malformed input raises ``AnstabError`` naming the missing or ill-typed field."""
         if isinstance(data, list):
             return cls.from_gaussian(GaussianRational.from_json(data))
+        if not isinstance(data, dict):
+            raise AnstabError(f"expected a charge value, got {data!r}")
         if "atoms" in data or "gauss" in data:
+            atoms = data.get("atoms", [data])
+            if not isinstance(atoms, list):
+                raise AnstabError(f"field 'atoms': expected a list, got {atoms!r}")
             return cls(
-                (
-                    *_fractions_from_json(a["rot"], 1),
-                    *_fractions_from_json(a["scale"], 1),
-                    GaussianRational.from_json(a["gauss"]),
-                )
-                for a in data.get("atoms", [data])
+                (*_field(a, "rot", 1), *_field(a, "scale", 1), GaussianRational(*_field(a, "gauss", 2)))
+                for a in atoms
             )
-        if not (isfinite(data["re"]) and isfinite(data["im"])):
-            raise AnstabError(f"non-finite charge {data!r}")
-        return cls.rational(Fraction(data["re"]), Fraction(data["im"]))
+        parts = [data.get("re"), data.get("im")]
+        if not all(isinstance(x, int) or isinstance(x, float) and isfinite(x) for x in parts):
+            raise AnstabError(f"expected finite numbers re and im, got {data!r}")
+        return cls.rational(*map(Fraction, parts))
 
     def __repr__(self) -> str:
         if not self.atoms:

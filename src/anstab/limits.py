@@ -83,12 +83,20 @@ class LaurentCharge:
         fams = {}
         for l, terms in data.items():
             coeffs = {}
-            for k, *c in terms:
+            if not isinstance(terms, list):
+                raise AnstabError(f"simple {l}: terms {terms!r} are not a list")
+            for term in terms:
+                if not isinstance(term, list) or len(term) < 2:
+                    raise AnstabError(f"simple {l}: term {term!r} is not [k, coefficient]")
+                k, *c = term
                 if type(k) is not int:
                     raise AnstabError(f"simple {l}: exponent {k!r} is not an integer")
                 if k in coeffs:
                     raise AnstabError(f"simple {l}: exponent {k} appears twice")
-                coeffs[k] = EC.from_json(c[0] if len(c) == 1 else c)
+                try:
+                    coeffs[k] = EC.from_json(c[0] if len(c) == 1 else c)
+                except AnstabError as exc:
+                    raise AnstabError(f"simple {l}, exponent {k}: {exc}") from None
             fams[int(l)] = coeffs
         return LaurentCharge.build(fams)
 

@@ -74,9 +74,8 @@ def charge_from_json(data: Mapping, where: str = "") -> dict[int, ExactComplex]:
     for l, v in data.items():
         try:
             out[int(l)] = EC.from_json(v)
-        except (ValueError, KeyError, TypeError) as exc:
-            what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise AnstabError(f"{where}simple {l}: {what}") from exc
+        except ValueError as exc:
+            raise AnstabError(f"{where}simple {l}: {exc}") from exc
     return out
 
 

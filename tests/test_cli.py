@@ -401,6 +401,18 @@ class TestExitCodes:
              "simple 1: expected 4 integers, got [True, 1, 1, 1]"),
             (["c-act", a2_sigma([-1, 1, 1.0, 1]), "--lam", "1/2"],
              "simple 1: expected 4 integers, got [-1, 1, 1.0, 1]"),
+            (a2_limit({"1": [[0, 5]], "2": [[0, 1, 1, 1, 1]]}),
+             "simple 1, exponent 0: expected a charge value, got 5"),
+            (a2_limit({"1": [[0, {"gauss": [1, 1, 0, 1]}]], "2": [[0, 1, 1, 1, 1]]}),
+             "simple 1, exponent 0: missing field 'rot'"),
+            (a2_limit({"1": [[0, -1, 1, 0, 1]], "2": [[2, {"rot": [1, 3], "scale": [0, 1],
+                                                       "gauss": [1, 1]}]]}),
+             "simple 2, exponent 2: field 'gauss': expected 4 integers, got [1, 1]"),
+            (a2_limit({"1": [[0]], "2": [[0, 1, 1, 1, 1]]}),
+             "simple 1: term [0] is not [k, coefficient]"),
+            (a2_limit({"1": [[0, -1, 1, 0, 1]], "2": 5}), "simple 2: terms 5 are not a list"),
+            (["c-act", a2_sigma({"re": float("inf"), "im": 1.5}), "--lam", "1/2"],
+             "simple 1: expected finite numbers re and im"),
         ],
     )
     def test_charge_decode_errors_say_where(self, capsys, argv, where):
@@ -408,6 +420,11 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"usage error: {where}")
         assert err.count("\n") == 1
+
+    def test_float_charge_takes_any_integer(self, capsys):
+        # an integer beyond the float range is finite and read exactly
+        code, _, err = run(capsys, "c-act", a2_sigma({"re": 10**400, "im": 1}), "--lam", "1/2")
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("rho", ["{}", "[]", '{"1":2}', '"x"', "[1, 2]", "[[1], 2]"])
     def test_rho_must_be_a_list_of_lists(self, capsys, rho):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from anstab import exact
 from anstab.exact import (
@@ -195,6 +195,85 @@ class TestExactComplex:
         assert ec(-3).phase_fraction() == 1
         assert (EC.unit(F(1, 4)) * ec(0, 1)).phase_fraction() == F(1, 4)
         assert ec(1, 2).phase_fraction() is None
+
+
+# Atoms with few rotations and scales, so that keys repeat and merge; a
+# drawn atom may be cancelled exactly by its copy turned by one half-turn.
+kernel_atom = st.tuples(
+    st.sampled_from([F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1), F(-1, 3), F(7, 4)]),
+    st.sampled_from([F(0), F(1, 2), F(-1)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def raw_atoms(draw):
+    atoms = [(r, s, gr(a, b)) for r, s, a, b in draw(st.lists(kernel_atom, min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        r, s, c = draw(st.sampled_from(atoms))
+        atoms.append((r + 1, s, c))  # e^(-i*pi*(r+1)) c = -e^(-i*pi*r) c
+    return atoms
+
+
+scalars = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(gr, st.integers(-3, 3), st.integers(-3, 3)),
+)
+
+
+def sign_or_error(sign):
+    """The sign, or ``PrecisionError`` when it cannot be certified."""
+    try:
+        return sign()
+    except PrecisionError:
+        return PrecisionError
+
+
+class TestKernelFastPaths:
+    """Sums, negation and scalar multiples build their result from atoms
+    already in normal form, and each value keeps the signs it decided; both
+    must agree with the normalizing constructor on the raw atom lists."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(raw_atoms(), raw_atoms(), scalars)
+    def test_operations_match_the_normalizing_constructor(self, xs, ys, g):
+        a, b = EC(xs), EC(ys)
+        assert (a + b).atoms == EC(xs + ys).atoms
+        assert (a - b).atoms == EC(xs + [(r, s, -c) for r, s, c in ys]).atoms
+        assert (-a).atoms == EC([(r, s, -c) for r, s, c in xs]).atoms
+        assert (a * g).atoms == (g * a).atoms == EC([(r, s, c * g) for r, s, c in xs]).atoms
+        assert (a * 0).atoms == ()
+        assert (a * b).atoms == EC(
+            [(r1 + r2, s1 + s2, c1 * c2) for r1, s1, c1 in xs for r2, s2, c2 in ys]
+        ).atoms
+        assert a.conj().atoms == EC([(-r, s, c.conj()) for r, s, c in xs]).atoms
+
+    @settings(derandomize=True, deadline=None)
+    @given(raw_atoms())
+    def test_kept_signs_match_fresh_ones(self, xs):
+        v = EC(xs)
+        want = [sign_or_error(EC(list(v.atoms)).im_sign), sign_or_error(EC(list(v.atoms)).re_sign)]
+        for _ in range(2):  # deciding, then reading what was kept
+            assert [sign_or_error(v.im_sign), sign_or_error(v.re_sign)] == want
+            fresh = EC(list(v.atoms))
+            assert fresh == v and hash(fresh) == hash(v)
+        negated = [w if w is PrecisionError else -w for w in want]
+        assert [sign_or_error((-v).im_sign), sign_or_error((-v).re_sign)] == negated
+
+    @settings(derandomize=True, deadline=None)
+    @given(raw_atoms())
+    def test_identities_return_the_value(self, xs):
+        x = EC(xs)
+        assert x * 1 is x and 1 * x is x and x * F(1) is x
+        assert x + EC.zero() is x
+
+    def test_precision_error_is_not_cached(self):
+        v = EC.unit(F(1, 3)) + EC.unit(F(-1, 3)) - EC.rational(1)
+        for _ in range(2):
+            with pytest.raises(PrecisionError):
+                v.im_sign()
 
 
 class TestLaurent:
