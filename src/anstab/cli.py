@@ -2,10 +2,19 @@
 
 Subcommands: tilt, exchange-graph, c-act, msc-validate, plumb, defect,
 limit, strata, braid, twist-data.  Exit status 0 on success, 1 when a
-validation fails, 2 on usage errors (including malformed JSON).  Output is
-JSON by default; ``--format dot`` or ``table`` where meaningful.  The
-environment variable MSTAB_PRECISION ("exact" or a digit count) overrides
---precision.
+validation fails, 2 on usage errors (including malformed JSON).
+
+Output is versioned JSON (``"schema": 1``) except for the formats a command
+renders itself: ``exchange-graph --format dot``, ``strata --format dot`` or
+``table``, and ``defect``, whose default is a table (``--format json`` for
+JSON).  A JSON argument is inline text, a path, or ``-`` for stdin.  Each
+JSON output is accepted by every command that reads its kind, as the bare
+object or inside its envelope: a heart (``tilt``'s ``heart``) by
+``--heart``; a stability condition (``c-act``'s ``result``) by ``c-act``; a
+multi-scale object (the ``result`` of ``plumb`` and ``limit``) by
+``msc-validate``, ``plumb`` and ``defect``.  For example::
+
+    anstab limit --heart A2 --family '(-1+it, 1+it)' | anstab plumb - --tau '1/4-2i'
 """
 
 from __future__ import annotations
@@ -156,31 +165,24 @@ def _load_json_arg(arg: str):
         raise UsageError(f"not a readable path and not valid JSON: {exc}") from exc
 
 
-def _heart_from_arg(arg: str) -> H.Heart:
+def _read(arg: str, from_json, key: str):
+    """Decode ``arg`` (JSON text, a path or ``-``) with ``from_json``.  It may
+    hold the bare object or ``{"schema": 1, key: object, ...}``, the envelope
+    of the command that writes that kind."""
+    data = _load_json_arg(arg)
+    if isinstance(data, dict) and key in data:
+        data = data[key]
+    return from_json(data)
+
+
+def _read_heart(arg: str) -> H.Heart:
     m = re.fullmatch(r"[Aa](\d+)", arg.strip())
     if m:
         return H.standard_heart(int(m.group(1)))
-    return H.Heart.from_json(_load_json_arg(arg))
+    return _read(arg, H.Heart.from_json, "heart")
 
 
-def _msc_from_arg(arg: str) -> MS.MultiScaleStab:
-    return MS.MultiScaleStab.from_json(_load_json_arg(arg))
-
-
-def _precision_digits(args) -> int:
-    """Numeric printing width: 17 significant digits unless overridden."""
-    env = os.environ.get("MSTAB_PRECISION")
-    raw = env if env else args.precision
-    if raw == "exact":
-        return 17
-    return max(1, int(raw))
-
-
-def _emit(payload, args) -> None:
-    if getattr(args, "format", "json") == "table" and isinstance(payload, dict):
-        for k, v in payload.items():
-            print(f"{k}\t{v}")
-        return
+def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, default=str))
 
 
@@ -189,7 +191,7 @@ def _emit(payload, args) -> None:
 
 
 def _cmd_tilt(args) -> int:
-    heart = _heart_from_arg(args.heart)
+    heart = _read_heart(args.heart)
     word = []
     for step in args.word.split(","):
         step = step.strip()
@@ -198,51 +200,45 @@ def _cmd_tilt(args) -> int:
         direction = -1 if step.startswith("-") else 1
         word.append((int(step.lstrip("+-")), direction))
     result = H.apply_tilt_word(heart, word)
-    _emit({"schema": SCHEMA, "heart": result.to_json()}, args)
+    _emit({"schema": SCHEMA, "heart": result.to_json()})
     return 0
 
 
 def _cmd_exchange_graph(args) -> int:
-    heart = _heart_from_arg(args.heart)
+    heart = _read_heart(args.heart)
     vertices, edges = H.exchange_graph(heart, args.radius)
     if args.format == "dot":
         print(H.exchange_graph_dot(vertices, edges))
         return 0
-    _emit(
-        {
-            "schema": SCHEMA,
-            "vertex_count": len(vertices),
-            "edge_count": len(edges),
-            "vertices": [h.to_json() for h in vertices.values()],
-        },
-        args,
-    )
+    _emit({
+        "schema": SCHEMA,
+        "vertex_count": len(vertices),
+        "edge_count": len(edges),
+        "vertices": [h.to_json() for h in vertices.values()],
+    })
     return 0
 
 
 def _cmd_c_act(args) -> int:
-    sigma = StabilityCondition.from_json(_load_json_arg(args.input))
+    sigma = _read(args.input, StabilityCondition.from_json, "result")
     result = c_act(sigma, parse_rational_complex(args.lam))
-    _emit({"schema": SCHEMA, "result": result.to_json()}, args)
+    _emit({"schema": SCHEMA, "result": result.to_json()})
     return 0
 
 
 def _cmd_msc_validate(args) -> int:
-    m = _msc_from_arg(args.input)
-    _emit(
-        {
-            "schema": SCHEMA,
-            "valid": True,
-            "levels_below_zero": m.L,
-            "rho": [list(r) for r in MS.type_rho(m)],
-        },
-        args,
-    )
+    m = _read(args.input, MS.MultiScaleStab.from_json, "result")
+    _emit({
+        "schema": SCHEMA,
+        "valid": True,
+        "levels_below_zero": m.L,
+        "rho": [list(r) for r in MS.type_rho(m)],
+    })
     return 0
 
 
 def _cmd_plumb(args) -> int:
-    m = _msc_from_arg(args.input)
+    m = _read(args.input, MS.MultiScaleStab.from_json, "result")
     taus = []
     for part in args.tau.split(";"):
         part = part.strip()
@@ -251,13 +247,12 @@ def _cmd_plumb(args) -> int:
         else:
             taus.append(parse_rational_complex(part))
     result = MS.plumb(m, taus)
-    _emit({"schema": SCHEMA, "result": result.to_json()}, args)
+    _emit({"schema": SCHEMA, "result": result.to_json()})
     return 0
 
 
 def _cmd_defect(args) -> int:
-    m = _msc_from_arg(args.input)
-    digits = _precision_digits(args)
+    m = _read(args.input, MS.MultiScaleStab.from_json, "result")
     rows = []
     for lam_expr in args.lam.split(";"):
         for tau_expr in args.tau.split(";"):
@@ -277,16 +272,16 @@ def _cmd_defect(args) -> int:
         print("lam\ttau\tmax_defect\tbound\twithin")
         for row in rows:
             print(
-                f"{row['lam']}\t{row['tau']}\t{row['max_defect']:.{digits}g}"
-                f"\t{row['bound']:.{digits}g}\t{row['within_bound']}"
+                f"{row['lam']}\t{row['tau']}\t{row['max_defect']:.17g}"
+                f"\t{row['bound']:.17g}\t{row['within_bound']}"
             )
         return 0
-    _emit({"schema": SCHEMA, "rows": rows}, args)
+    _emit({"schema": SCHEMA, "rows": rows})
     return 0
 
 
 def _cmd_limit(args) -> int:
-    heart = _heart_from_arg(args.heart)
+    heart = _read_heart(args.heart)
     fam = args.family
     if fam == "-" or os.path.exists(fam) or fam.strip().startswith("{"):
         data = _load_json_arg(fam)
@@ -304,14 +299,11 @@ def _cmd_limit(args) -> int:
             raise UsageError("family arity does not match the heart rank")
         zc = LIM.LaurentCharge.build(dict(zip(heart.labels, polys)))
     m, rot = LIM.extract_limit(heart, zc)
-    _emit(
-        {
-            "schema": SCHEMA,
-            "rotation": [rot.numerator, rot.denominator],
-            "result": m.to_json(),
-        },
-        args,
-    )
+    _emit({
+        "schema": SCHEMA,
+        "rotation": [rot.numerator, rot.denominator],
+        "result": m.to_json(),
+    })
     return 0
 
 
@@ -320,6 +312,8 @@ def _cmd_strata(args) -> int:
         if value < 1:
             raise UsageError(f"{flag} must be at least 1, not {value}")
     if args.poset:
+        if args.format != "json":
+            raise UsageError("--poset prints JSON only")
         graphs = ST.enumerate_graphs(args.n, args.levels) if args.labeled else [
             rep for _, _, rep in ST.census_types(args.n, args.levels)]
         keyed, rel = ST.adjacency_poset(graphs, labeled=args.labeled)
@@ -334,7 +328,7 @@ def _cmd_strata(args) -> int:
                 for k in keyed
             },
         }
-        _emit(payload, args)
+        _emit(payload)
         return 0
     if args.format == "dot":
         for g in ST.enumerate_graphs(args.n, args.levels):
@@ -352,7 +346,7 @@ def _cmd_strata(args) -> int:
                 f"{entry['enhancements']}\t{entry['prongs']}"
             )
         return 0
-    _emit(payload, args)
+    _emit(payload)
     return 0
 
 
@@ -360,24 +354,21 @@ def _cmd_braid(args) -> int:
     q = make_linear(args.n)
     word = parse_braid_word(args.word)
     mat = K.word_matrix(q, word)
-    _emit(
-        {
-            "schema": SCHEMA,
-            "word": word.to_json(),
-            "matrix": [list(r) for r in mat.rows],
-            "matrix_row_major": mat.to_json(),
-        },
-        args,
-    )
+    _emit({
+        "schema": SCHEMA,
+        "word": word.to_json(),
+        "matrix": [list(r) for r in mat.rows],
+        "matrix_row_major": mat.to_json(),
+    })
     return 0
 
 
 def _cmd_twist_data(args) -> int:
-    rho = json.loads(args.rho)
+    rho = _load_json_arg(args.rho)
     if not (isinstance(rho, list) and rho and all(isinstance(r, list) for r in rho)):
         raise UsageError(f"--rho must be a non-empty JSON list of lists, not {args.rho!r}")
     data = K.simple_twist_data(rho)
-    _emit({"schema": SCHEMA, "rho": rho, "levels": data.to_json()}, args)
+    _emit({"schema": SCHEMA, "rho": rho, "levels": data.to_json()})
     return 0
 
 
@@ -389,17 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="anstab",
         description="exact engine for multi-scale stability conditions of A_n type",
     )
-    p.add_argument(
-        "--precision",
-        default="exact",
-        help="'exact' or a digit count for numeric printing (env MSTAB_PRECISION)",
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("tilt", help="apply a tilt word to a heart")
-    sp.add_argument("--heart", required=True, help="A<n> or heart JSON/path")
+    sp.add_argument("--heart", required=True, help="A<n>, or a heart or tilt output: JSON, path or -")
     sp.add_argument("--word", required=True, help="comma list like '2,-1,3'")
-    sp.add_argument("--format", default="json", choices=["json", "table"])
     sp.set_defaults(func=_cmd_tilt)
 
     sp = sub.add_parser("exchange-graph", help="breadth-first tilt closure")
@@ -409,20 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_exchange_graph)
 
     sp = sub.add_parser("c-act", help="apply the rescaled rotation action")
-    sp.add_argument("input", help="JSON {heart, charge} or path")
+    sp.add_argument("input", help="{heart, charge} or c-act output: JSON, path or -")
     sp.add_argument("--lam", required=True, help="rational complex like '1/2+1/3i'")
-    sp.add_argument("--format", default="json", choices=["json", "table"])
     sp.set_defaults(func=_cmd_c_act)
 
     sp = sub.add_parser("msc-validate", help="validate a multi-scale object")
     sp.add_argument("input")
-    sp.add_argument("--format", default="json", choices=["json", "table"])
     sp.set_defaults(func=_cmd_msc_validate)
 
     sp = sub.add_parser("plumb", help="plumb level passages")
     sp.add_argument("input")
     sp.add_argument("--tau", required=True, help="';'-separated entries; 'inf' skips")
-    sp.add_argument("--format", default="json", choices=["json", "table"])
     sp.set_defaults(func=_cmd_plumb)
 
     sp = sub.add_parser("defect", help="commutation defect over a lam/tau grid")
@@ -435,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("limit", help="extract the limit of a Laurent family")
     sp.add_argument("--heart", required=True)
     sp.add_argument("--family", required=True, help="'(-1+it, 1+it)', or JSON text, file or -")
-    sp.add_argument("--format", default="json", choices=["json", "table"])
     sp.set_defaults(func=_cmd_limit)
 
     sp = sub.add_parser("strata", help="boundary census / poset for given n")
@@ -449,12 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("braid", help="braid word to K-theory matrix")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--word", required=True, help="'(1 2)^3' or JSON letters")
-    sp.add_argument("--format", default="json", choices=["json", "table"])
     sp.set_defaults(func=_cmd_braid)
 
     sp = sub.add_parser("twist-data", help="twist group numerics for a type rho")
     sp.add_argument("--rho", required=True, help="JSON like [[1,1],[2]]")
-    sp.add_argument("--format", default="json", choices=["json", "table"])
     sp.set_defaults(func=_cmd_twist_data)
 
     return p

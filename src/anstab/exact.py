@@ -344,11 +344,6 @@ class ExactComplex:
         """e^(-i*pi*rot) * e^(pi*scale)."""
         return cls([(Fraction(rot), Fraction(scale), _GR_ONE)])
 
-    @classmethod
-    def exp_minus_i_pi(cls, lam_re, lam_im=0) -> "ExactComplex":
-        """e^(-i*pi*(lam_re + i*lam_im)) = e^(-i*pi*lam_re) e^(pi*lam_im)."""
-        return cls.unit(Fraction(lam_re), Fraction(lam_im))
-
     # -- ring operations
 
     def __add__(self, other: "ExactComplex") -> "ExactComplex":

@@ -126,6 +126,12 @@ def standard_heart(n: int) -> Heart:
     return Heart(tuple(range(1, n + 1)), classes, make_linear(n))
 
 
+def tilt_multiplicity(h: Heart, s: int, t: int, direction: int) -> int:
+    """Copies of S_s that tilting h at s in ``direction`` adds to simple t:
+    ext^1(S_t, S_s) for a forward tilt, ext^1(S_s, S_t) for a backward one."""
+    return h.ext1(t, s) if direction > 0 else h.ext1(s, t)
+
+
 def _tilt(h: Heart, s: int, direction: int) -> Heart:
     if s not in h.labels:
         raise HeartError(f"unknown simple label {s}")
@@ -135,7 +141,7 @@ def _tilt(h: Heart, s: int, direction: int) -> Heart:
         if l == s:
             classes.append(tuple(-x for x in cs))
         else:
-            m = h.ext1(l, s) if direction > 0 else h.ext1(s, l)
+            m = tilt_multiplicity(h, s, l, direction)
             classes.append(tuple(x + m * y for x, y in zip(c, cs)))
     return h.with_classes(
         classes,

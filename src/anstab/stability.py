@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .anquiver import enumerate_strings
 from .exact import EC, AnstabError, ExactComplex, GaussianRational
-from .hearts import Heart, KClass, _tilt, shift_heart
+from .hearts import Heart, KClass, _tilt, shift_heart, tilt_multiplicity
 
 
 class StabilityError(AnstabError):
@@ -234,7 +234,7 @@ class TiltState:
         for t in h.labels:
             if t == s:
                 continue
-            mult = h.ext1(t, s) if direction > 0 else h.ext1(s, t)
+            mult = tilt_multiplicity(h, s, t, direction)
             if not mult:
                 continue
             for ch in self.charges:

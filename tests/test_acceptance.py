@@ -281,7 +281,7 @@ def test_criterion_10_action_coherence():
         lam = (F(rng.randrange(0, 16), 8), F(rng.randrange(-8, 8), 8))
         out = c_act_msc(m, lam)
         assert out.level_sets == m.level_sets
-        rot = EC.exp_minus_i_pi(*lam)
+        rot = EC.unit(*lam)
         norm = normalize_representative(m)
         for i in range(m.L + 1):
             for l in sorted(m.labels(i)):

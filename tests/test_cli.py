@@ -5,10 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from anstab.cli import main, parse_braid_word, parse_laurent, parse_family
+from anstab.cli import main, parse_braid_word, parse_family, parse_laurent, parse_rational_complex
 from anstab.exact import EC, gr
-from anstab.hearts import canonical_form
-from anstab.stability import StabilityCondition
+from anstab.hearts import apply_tilt_word, canonical_form, standard_heart
+from anstab.limits import LaurentCharge, extract_limit
+from anstab.multiscale import plumb, type_rho
+from anstab.stability import StabilityCondition, c_act
 
 A2_HEART = {
     "simples": [{"label": 1, "class": [1, 0]}, {"label": 2, "class": [0, 1]}],
@@ -88,6 +90,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def piped(capsys, monkeypatch, stdin: str, *argv):
+    """``run`` with ``stdin`` as the standard input, for an argument ``-``."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    return run(capsys, *argv)
+
+
+def printed(payload) -> str:
+    """What the CLI prints for a JSON payload."""
+    return json.dumps(payload, indent=2, default=str) + "\n"
 
 
 class TestParsers:
@@ -298,6 +311,84 @@ class TestCommands:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert all(line.endswith("True") for line in lines[1:])
+
+
+class TestPipelines:
+    """Each JSON output fed through ``-`` to a command that reads its kind,
+    against the same composition in-process."""
+
+    @pytest.mark.parametrize("w1, w2", [("2", "-1"), ("1,-3", "2,2"), ("3,-2", "-3,1")])
+    def test_tilt_then_tilt(self, capsys, monkeypatch, w1, w2):
+        code, once, _ = run(capsys, "tilt", "--heart", "A3", "--word", w1)
+        assert code == 0
+        code, twice, err = piped(capsys, monkeypatch, once, "tilt", "--heart", "-", f"--word={w2}")
+        assert (code, err) == (0, "")
+        word = [(abs(int(x)), 1 if int(x) > 0 else -1) for x in f"{w1},{w2}".split(",")]
+        expected = apply_tilt_word(standard_heart(3), word)
+        assert twice == printed({"schema": 1, "heart": expected.to_json()})
+
+    @pytest.mark.parametrize("a, b", [("1/3", "1/3"), ("1/2+1/3i", "-1/4"), ("i/2", "2/3")])
+    def test_c_act_then_c_act(self, capsys, monkeypatch, a, b):
+        sigma = a2_sigma([-2, 1, 1, 1])
+        code, once, _ = run(capsys, "c-act", sigma, f"--lam={a}")
+        assert code == 0
+        code, twice, err = piped(capsys, monkeypatch, once, "c-act", "-", f"--lam={b}")
+        assert (code, err) == (0, "")
+        s0 = StabilityCondition.from_json(json.loads(sigma))
+        expected = c_act(c_act(s0, parse_rational_complex(a)), parse_rational_complex(b))
+        assert twice == printed({"schema": 1, "result": expected.to_json()})
+
+    @pytest.mark.parametrize("family", ["(-1+it, 1+it)", "(-t^-1+i, 1+i)"])
+    def test_limit_then_plumb_then_validate(self, capsys, monkeypatch, family):
+        code, limit, _ = run(capsys, "limit", "--heart", "A2", "--family", family)
+        assert code == 0
+        code, plumbed, err = piped(capsys, monkeypatch, limit, "plumb", "-", "--tau", "1/4-2i")
+        assert (code, err) == (0, "")
+        zc = LaurentCharge.build(dict(zip((1, 2), parse_family(family))))
+        m, _ = extract_limit(standard_heart(2), zc)
+        expected = plumb(m, [(F(1, 4), F(-2))])
+        assert plumbed == printed({"schema": 1, "result": expected.to_json()})
+        code, out, err = piped(capsys, monkeypatch, plumbed, "msc-validate", "-")
+        assert (code, err) == (0, "")
+        assert out == printed({
+            "schema": 1, "valid": True, "levels_below_zero": expected.L,
+            "rho": [list(r) for r in type_rho(expected)],
+        })
+
+    def test_envelope_and_bare_object_read_alike(self, capsys, tmp_path):
+        _, limit, _ = run(capsys, "limit", "--heart", "A2", "--family", "(-1+it, 1+it)")
+        envelope = tmp_path / "limit.json"
+        envelope.write_text(limit)
+        bare = json.dumps(json.loads(limit)["result"])
+        for reader in (["msc-validate"], ["plumb", "--tau", "1/4-2i"],
+                       ["defect", "--lam", "1/4", "--tau", "1/4-3i"]):
+            code, out, _ = run(capsys, reader[0], str(envelope), *reader[1:])
+            assert code == 0
+            assert run(capsys, reader[0], bare, *reader[1:]) == (0, out, "")
+
+    def test_rho_from_stdin(self, capsys, monkeypatch):
+        _, expected, _ = run(capsys, "twist-data", "--rho", "[[1,1]]")
+        assert piped(capsys, monkeypatch, "[[1,1]]", "twist-data", "--rho", "-") == (0, expected, "")
+
+    def test_defect_table_ignores_precision_env(self, capsys, monkeypatch):
+        _, limit, _ = run(capsys, "limit", "--heart", "A2", "--family", "(-1+it, 1+it)")
+        argv = ["defect", limit, "--lam", "1/4", "--tau", "1/4-3i"]
+        _, expected, _ = run(capsys, *argv)
+        monkeypatch.setenv("MSTAB_PRECISION", "5")
+        assert run(capsys, *argv) == (0, expected, "")
+        bound = expected.splitlines()[1].split("\t")[3]
+        assert bound == f"{float(bound):.17g}"
+
+    @pytest.mark.parametrize("argv", [
+        ["tilt", "--heart", "A3", "--word", "2", "--format", "table"],
+        ["c-act", a2_sigma([-2, 1, 1, 1]), "--lam", "1/3", "--format", "json"],
+        ["twist-data", "--rho", "[[1,1]]", "--format", "table"],
+        ["--precision", "5", "strata", "--n", "2"],
+        ["strata", "--n", "2", "--poset", "--format", "table"],
+    ])
+    def test_removed_knobs_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        capsys.readouterr()
 
 
 class TestExitCodes:

@@ -216,7 +216,7 @@ class TestPlumb:
         )
         tau = (0, F(-3, 2))
         p = plumb(m, [tau])
-        rot = EC.exp_minus_i_pi(0, F(-3, 2))
+        rot = EC.unit(0, F(-3, 2))
         assert p.charge(0)[2] == rot * m.charge(1)[2]
         assert p.charge(0)[3] == rot * m.charge(1)[3]
         assert p.charge(0)[1] == m.charge(0)[1]
@@ -297,7 +297,7 @@ class TestActionOnMsc:
         m = a2_limit_datum()
         lam = F(1, 3)
         a = c_act_msc(m, lam)
-        rot = EC.exp_minus_i_pi(lam)
+        rot = EC.unit(lam)
         norm = normalize_representative(m)
         assert a.charge(0)[2] == rot * norm.charge(0)[2]
         assert a.charge(1)[1] == rot * norm.charge(1)[1]
@@ -453,9 +453,10 @@ class TestCharts:
 
 class TestTwistCoherence:
     def test_plumbing_translated_by_ell(self):
-        # translating tau by ell lands in the same neighborhood with equal
-        # chart coordinate and quotient data; lower charges pick up the
-        # sign e^(-i pi ell)
+        # translating tau by ell: both points lie in the neighborhood of m,
+        # the quotient simple's charge is unchanged, and the lower charges
+        # pick up the sign e^(-i pi ell).  The chart coordinates are not
+        # compared; they differ at tau and tau + ell (ROADMAP item 6).
         h = standard_heart(3)
         m = validate_msc(
             h, [{1: gr(-1, 1), 2: gr(0), 3: gr(0)}, {2: gr(0, 1), 3: gr(-1, 2)}]
@@ -468,7 +469,7 @@ class TestTwistCoherence:
         assert in_neighborhood(p1, m, spec).accepted
         assert in_neighborhood(p2, m, spec).accepted
         assert p1.charge(0)[1] == p2.charge(0)[1]  # quotient simple untouched
-        sign = EC.exp_minus_i_pi(ell % 2)
+        sign = EC.unit(ell % 2)
         from anstab.multiscale import _in_basis_value
 
         for l in (2, 3):

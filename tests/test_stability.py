@@ -119,7 +119,7 @@ class TestAction:
         s = validate(standard_heart(3), {1: gr(-2, 1), 2: gr(1, 2), 3: gr(-1, 3)})
         lam = F(2, 5)
         r = c_act(s, lam)
-        rot = EC.exp_minus_i_pi(lam)
+        rot = EC.unit(lam)
         for gamma in [(1, 0, 0), (1, 1, 0), (2, -1, 3)]:
             assert r.value(gamma) == rot * s.value(gamma)
 
