@@ -375,8 +375,31 @@ def _cmd_twist_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A parse error is a usage error: one line on stderr, exit 2."""
+        raise UsageError(message)
+
+
+# Options whose values may start with "-", like --lam -1/4 or --word -1,2.
+_DASH_VALUES = ("--lam", "--tau", "--word", "--family")
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Write ``--lam -1/4`` as ``--lam=-1/4``, which argparse reads as a value
+    rather than an unknown option.  Only a value that is not itself an option
+    is joined, so a missing value is still reported as missing."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _DASH_VALUES and arg[:1] == "-" and arg[:2] != "--" and arg != "-h":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="anstab",
         description="exact engine for multi-scale stability conditions of A_n type",
     )
@@ -441,10 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_dash_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -19,7 +19,10 @@ adds to ``scale``).  Crucially, sign tests are decidable:
   q = |x|/|y| > tan(pi*rot).  tan(pi*rot) is increasing with tan(pi/4) = 1,
   so q = 1, q > 1 with rot <= 1/4 and q < 1 with rot >= 1/4 are symbolic;
   otherwise q - tan(pi*rot) is nonzero (by Niven's theorem tan(pi*rot) is
-  rational only at rot = 0 and 1/4) and intervals decide it;
+  rational only at rot = 0 and 1/4): q outside a cached rational bracket
+  lo <= tan(pi*rot) <= hi decides, and intervals decide the rest;
+* for one factor f and Gaussians c1, c2, the phases of f*c1 and f*c2 inside one
+  half-plane bucket are ordered by the cross product Im(conj(c1)*c2);
 * nonzero quantities are separated from 0 by escalating-precision interval
   arithmetic (mpmath.iv); past a 16,384-bit cap it raises ``PrecisionError``.
   The enclosures of cos, sin, tan(pi*r) and e^(pi*s) sit in a bounded cache
@@ -244,6 +247,19 @@ def _certified_sign(interval, what: str) -> int:
     raise PrecisionError(f"{what} not certified at {_IV_MAX_PREC} bits")
 
 
+@functools.lru_cache(maxsize=512)
+def _tan_bracket(rot: Fraction):
+    """(lo, hi) with lo <= tan(pi*rot) <= hi, read exactly off the raw (sign,
+    mantissa, exponent) ends of one 64-bit enclosure; None if one is infinite."""
+    old, iv.prec = iv.prec, _IV_START_PREC
+    try:
+        ends = iv.tan(iv.pi * _iv_frac(rot))._mpi_
+    finally:
+        iv.prec = old
+    if all(man or not exp for _, man, exp, _ in ends):
+        return tuple((-1) ** sign * int(man) * Fraction(2) ** exp for sign, man, exp, _ in ends)
+
+
 def _normalize_atom(rot: Fraction, scale: Fraction, c: GaussianRational):
     """Reduce rot mod 2 into [0, 1/2), absorbing quarter turns into c."""
     if c.is_zero():
@@ -278,9 +294,28 @@ def _atom_sign(rot: Fraction, c: GaussianRational, part: str) -> int:
         return sx
     if q < 1 and rot >= _QUARTER:
         return sy
+    bracket = _tan_bracket(rot)
+    if bracket and not bracket[0] <= q <= bracket[1]:
+        return sx if q > bracket[1] else sy
     return sx * _certified_sign(
         lambda: _iv_frac(q) - _iv_pi(iv.tan, rot, iv.prec), "phase comparison"
     )
+
+
+def gauss_in_h(rot: Fraction, c: GaussianRational) -> bool:
+    """``in_upper_semiclosed`` of e^(-i*pi*rot) * c times any positive real."""
+    s = _atom_sign(rot, c, "im")
+    return s > 0 or s == 0 and _atom_sign(rot, c, "re") < 0
+
+
+def gauss_cmp_phase(c1: GaussianRational, c2: GaussianRational) -> int:
+    """``cmp_phase`` of f*c1 against f*c2 (f nonzero) in one half-plane bucket:
+    minus the sign of Im(conj(c1)*c2); 0 when they are parallel.  Compared as
+    c1.im*c2.re against c1.re*c2.im over their positive common denominator."""
+    (a, b), (c, d) = c1.re.as_integer_ratio(), c1.im.as_integer_ratio()
+    (e, f), (g, h) = c2.re.as_integer_ratio(), c2.im.as_integer_ratio()
+    x, y = c * e * b * h, a * g * d * f
+    return (x > y) - (x < y)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +472,8 @@ class ExactComplex:
         b1, b2 = self.in_upper_semiclosed(), other.in_upper_semiclosed()
         if b1 != b2:
             return 1 if b1 else -1
+        if (pair := self.key_pair(other)) and (s := gauss_cmp_phase(*pair)):
+            return s  # the same-key rule; the cross product 0 falls through
         cross = self.conj() * other
         s = cross.im_sign()
         if s > 0:
@@ -447,6 +484,11 @@ class ExactComplex:
             return 0
         # antipodal within one bucket cannot happen: buckets are half-turns
         raise PrecisionError("phase comparison hit an antipodal pair")
+
+    def key_pair(self, other: "ExactComplex"):
+        """(c1, c2) when both values are single atoms c1, c2 of one (rot, scale) key."""
+        if len(self.atoms) == len(other.atoms) == 1 and self.atoms[0][:2] == other.atoms[0][:2]:
+            return self.atoms[0][2], other.atoms[0][2]
 
     def cmp_abs(self, other: "ExactComplex") -> int:
         d = self * self.conj() - other * other.conj()

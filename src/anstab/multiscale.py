@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .anquiver import enumerate_strings, restrict
-from .exact import AnstabError, ExactComplex
+from .exact import AnstabError, ExactComplex, gauss_in_h
 from .hearts import Heart, canonical_form
 from .klattice import simple_twist_data
 from .stability import (
@@ -111,15 +111,16 @@ def _h_window_label(values: Sequence[tuple[int, ExactComplex]]) -> int | None:
 
     Returns the first label a such that every value b satisfies
     phase(b) - phase(a) in (-1, 0]; None when no common rotation exists.
+    For single atoms c_a, c_b of one key, conj(v_a) * v_b is a positive
+    multiple of the Gaussian conj(c_a) * c_b.
     """
-    return next(
-        (
-            a
-            for a, va in values
-            if not any((va.conj() * vb).in_upper_semiclosed() for _, vb in values)
-        ),
-        None,
-    )
+
+    def above(va: ExactComplex, vb: ExactComplex) -> bool:
+        if pair := va.key_pair(vb):
+            return gauss_in_h(0, pair[0].conj() * pair[1])
+        return (va.conj() * vb).in_upper_semiclosed()
+
+    return next((a for a, va in values if not any(above(va, vb) for _, vb in values)), None)
 
 
 def _check_type_constraints(top: Heart, chain: list[frozenset[int]]) -> None:
@@ -324,7 +325,7 @@ def _freeze(st: TiltState) -> MultiScaleStab:
     return MultiScaleStab(
         st.heart,
         tuple(st.levels),
-        tuple(tuple(sorted(ch.items())) for ch in st.charges),
+        tuple(tuple(sorted(st.level(i).items())) for i in range(st.L + 1)),
     )
 
 
@@ -362,11 +363,7 @@ def plumb(m: MultiScaleStab, taus: Sequence) -> MultiScaleStab:
         finite.append((j, re, im))
     for j, re, im in sorted(finite, reverse=True):
         st.act_from(j, re, im)
-        # merge levels j-1 and j: the level-j quotient joins level j-1
-        for l in sorted(st.lset(j) - st.lset(j + 1)):
-            st.charges[j - 1][l] = st.charges[j][l]
-        del st.charges[j]
-        del st.levels[j - 1]
+        st.merge(j)
     out = _freeze(st)
     # plumbing valid inputs always yields a valid multi-scale object
     for l in sorted(out.quotient_labels(0)):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .anquiver import enumerate_strings
-from .exact import EC, AnstabError, ExactComplex, GaussianRational
+from .exact import EC, AnstabError, ExactComplex, GaussianRational, gauss_cmp_phase, gauss_in_h, gr
 from .hearts import Heart, KClass, _tilt, shift_heart, tilt_multiplicity
 
 
@@ -205,16 +205,29 @@ class TiltState:
     ``exact.Laurent`` families with ExactComplex coefficients; the engine
     needs ``+``, unary ``-``, ``is_zero``, ``in_upper_semiclosed``,
     ``cmp_phase`` and ``value * x`` for an integer x (tilts) or an
-    ExactComplex x (rotations, ``act_from``).  A tilt at s
-    updates every level holding s alongside the K-classes; settling
-    forward-tilts at the quotient simple of minimal phase (ties by label)
-    until every quotient value lies in H, against one cap of 80n^2 + 16.
+    ExactComplex x (rotations, ``act_from``).  A level whose nonzero values
+    are single atoms of one (rot, scale) key is factored: ``factors[i]`` is
+    that key and ``charges[i]`` holds Gaussian rationals, so a rotation moves
+    the key, a tilt is Gaussian arithmetic, and the phase tests are
+    ``exact.gauss_in_h`` and ``exact.gauss_cmp_phase``; ``level(i)`` expands
+    it back.  A tilt at s updates every level holding s alongside the
+    K-classes; settling forward-tilts at the quotient simple of minimal phase
+    (ties by label) until every quotient value lies in H, against one cap of
+    80n^2 + 16.
     """
 
     def __init__(self, heart: Heart, charges, levels=()):
         self.heart = heart
         self.levels: list[frozenset[int]] = list(levels)
-        self.charges: list[dict] = [dict(ch) for ch in charges]
+        self.factors, self.charges = [], []
+        for ch in charges:  # factored when every nonzero value is one atom of one key
+            atoms = [v.atoms for v in ch.values() if isinstance(v, ExactComplex)]
+            keys = {a[0][:2] if len(a) == 1 else None for a in atoms if a}
+            key = keys.pop() if len(atoms) == len(ch) and len(keys) == 1 else None
+            self.factors.append(key)
+            self.charges.append(
+                {l: a[0][2] if a else gr(0) for l, a in zip(ch, atoms)} if key else dict(ch)
+            )
         n = heart.rank()
         self.cap = 80 * n * n + 16
 
@@ -250,11 +263,28 @@ class TiltState:
                 ch[s] = -ch[s]
         self.heart = _tilt(h, s, direction)
 
-    def rotate_from(self, i0: int, factor: ExactComplex) -> None:
+    def rotate_from(self, i0: int, rot: Fraction, scale: Fraction) -> None:
+        """Multiply levels i0..L by e^(-i*pi*rot) * e^(pi*scale)."""
         for i in range(i0, self.L + 1):
-            ch = self.charges[i]
-            for l in ch:
-                ch[l] = ch[l] * factor
+            if self.factors[i]:
+                r, s = self.factors[i]
+                self.factors[i] = ((r + rot) % 2, s + scale)
+            else:
+                unit = EC.unit(rot, scale)
+                self.charges[i] = {l: v * unit for l, v in self.charges[i].items()}
+
+    def level(self, i: int) -> dict:
+        """The values of level i, as ExactComplex on a factored level."""
+        f = self.factors[i]
+        return {l: ExactComplex([(*f, c)]) if f else c for l, c in self.charges[i].items()}
+
+    def merge(self, j: int) -> None:
+        """Merge levels j-1 and j: the level-j quotient joins level j-1."""
+        for i in (j - 1, j):
+            self.charges[i], self.factors[i] = self.level(i), None
+        for l in sorted(self.lset(j) - self.lset(j + 1)):
+            self.charges[j - 1][l] = self.charges[j][l]
+        del self.charges[j], self.factors[j], self.levels[j - 1]
 
     def depth_of(self, s: int) -> int:
         d = 0
@@ -302,12 +332,21 @@ class TiltState:
         if i < self.L:
             self.settle(i + 1)
         quotient = sorted(self.lset(i) - self.lset(i + 1))
-        charge = self.charges[i]
+        charge, f = self.charges[i], self.factors[i]
+        if f:  # the key's rot in [0, 1/2) and its quarter turns
+            turns, rot = divmod(f[0], Fraction(1, 2))
+        seen = {}  # label -> (value, in H); a tilt rebinds only the values it changes
+
+        def in_h(l: int) -> bool:
+            v = charge[l]
+            if l not in seen or seen[l][0] is not v:
+                seen[l] = v, (gauss_in_h(rot, v.times_minus_i(turns)) if f
+                              else v.in_upper_semiclosed())
+            return seen[l][1]
+
         steps = 0
         while True:
-            offenders = [
-                l for l in quotient if not charge[l].in_upper_semiclosed()
-            ]
+            offenders = [l for l in quotient if not in_h(l)]
             if not offenders:
                 return
             for l in offenders:
@@ -320,7 +359,8 @@ class TiltState:
                 raise WallHit(f"tilt loop at level {i} did not terminate")
             best = offenders[0]  # offenders are sorted: ties keep the smaller label
             for l in offenders[1:]:
-                if charge[l].cmp_phase(charge[best]) < 0:
+                a, b = charge[l], charge[best]
+                if (gauss_cmp_phase(a, b) if f else a.cmp_phase(b)) < 0:
                     best = l
             self.protected_tilt(best)
 
@@ -335,12 +375,12 @@ class TiltState:
         even = 2 * (re // 2)
         residual = re - even
         if im:
-            self.rotate_from(i0, EC.unit(Fraction(0), im))
+            self.rotate_from(i0, Fraction(0), im)
         if even and i0 == 0:
             self.heart = shift_heart(self.heart, int(even))
         while residual > 0:
             step = min(residual, Fraction(1))
-            self.rotate_from(i0, EC.unit(step))
+            self.rotate_from(i0, step, Fraction(0))
             self.settle(i0)
             residual -= step
 
@@ -353,7 +393,7 @@ def c_act(sigma: StabilityCondition, lam) -> StabilityCondition:
     """
     st = TiltState(sigma.heart, [sigma.charge_dict()])
     st.act_from(0, *as_lambda(lam))
-    return StabilityCondition(st.heart, tuple(sorted(st.charges[0].items())))
+    return StabilityCondition(st.heart, tuple(sorted(st.level(0).items())))
 
 
 @dataclass(frozen=True)

@@ -391,6 +391,51 @@ class TestPipelines:
         capsys.readouterr()
 
 
+class TestValuesStartingWithDash:
+    """--lam, --tau, --word and --family take a value that starts with "-",
+    spaced or after "="; a value that is missing is still a usage error."""
+
+    @pytest.mark.parametrize(
+        "head, option, value, tail",
+        [
+            (["c-act", a2_sigma([-2, 1, 1, 1])], "--lam", "-1/4", []),
+            (["c-act", a2_sigma([-2, 1, 1, 1])], "--lam", "-i/2", []),
+            (["plumb", a2_msc_deep([0, 1, 1, 1])], "--tau", "-1/4-2i", []),
+            (["defect", a2_msc_deep([0, 1, 1, 1])], "--lam", "-i/2", ["--tau", "1/4-3i"]),
+            (["defect", a2_msc_deep([0, 1, 1, 1]), "--lam", "1/4"], "--tau", "-3i+1/4", []),
+            (["tilt", "--heart", "A3"], "--word", "-1,2", []),
+            (["limit", "--heart", "A2"], "--family", "-1+it, 1+it", []),
+        ],
+    )
+    def test_spaced_and_equals_forms_agree(self, capsys, head, option, value, tail):
+        spaced = run(capsys, *head, option, value, *tail)
+        joined = run(capsys, *head, f"{option}={value}", *tail)
+        assert spaced[0] == 0 and spaced[2] == ""
+        assert spaced == joined
+
+    def test_family_file_starting_with_dash(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        family = {"1": [[0, -1, 1, 0, 1]], "2": [[0, 1, 1, 1, 1]]}
+        (tmp_path / "-fam.json").write_text(json.dumps(family))
+        code, out, err = run(capsys, "limit", "--heart", "A2", "--family", "-fam.json")
+        assert (code, err) == (0, "") and json.loads(out)["schema"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["c-act", a2_sigma([-2, 1, 1, 1]), "--lam"],
+            ["plumb", a2_msc_deep([0, 1, 1, 1]), "--tau"],
+            ["tilt", "--heart", "A3", "--word"],
+            ["tilt", "--word", "--heart", "A3"],
+            ["limit", "--heart", "A2", "--family"],
+        ],
+    )
+    def test_missing_value_is_one_usage_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: argument ") and err.count("\n") == 1
+
+
 class TestExitCodes:
     def test_malformed_json_is_usage_error(self, capsys):
         code, _, err = run(capsys, "msc-validate", "{not json")

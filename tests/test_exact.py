@@ -276,6 +276,104 @@ class TestKernelFastPaths:
                 v.im_sign()
 
 
+def oracle_phase(v) -> mpmath.mpf:
+    """The phase of v in (-1, 1] at 200 digits; within 1e-150 of 0 or 1 it
+    snaps to that value, as exact axis cases are not decided by digits."""
+    with mpmath.workdps(200):
+        p = mpmath.arg(v.to_mpc(200)) / mpmath.pi
+        for exact_p in (0, 1, -1):
+            if abs(p - exact_p) < mpmath.mpf(10) ** -150:
+                return mpmath.mpf(abs(exact_p))
+        return p
+
+
+def oracle_cmp(v, w) -> int:
+    p, q = oracle_phase(v), oracle_phase(w)
+    if abs(p - q) < mpmath.mpf(10) ** -150:
+        return 0
+    return 1 if p > q else -1
+
+
+def same_key_pairs(seed: int, count: int):
+    """Seeded (rot, scale, c1, c2): rots of any sign past a quarter turn, and
+    c2 a generic Gaussian, a positive or negative multiple of c1 (equal or
+    opposite phase), or c1 turned by a quarter (often across the buckets)."""
+    rng = random.Random(seed)
+
+    def gauss():
+        while True:
+            c = gr(*(F(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(2)))
+            if not c.is_zero():
+                return c
+
+    out = []
+    for k in range(count):
+        rot = F(rng.randrange(-60, 61), rng.choice([1, 2, 3, 4, 6, 8, 12, 24]))
+        scale = F(rng.randrange(-3, 4), rng.randrange(1, 3))
+        c1 = gauss()
+        t = F(rng.randrange(1, 9), rng.randrange(1, 5))
+        c2 = [gauss(), c1 * t, c1 * -t, c1 * gr(0, 1), c1 * gr(0, -1)][k % 5]
+        out.append((rot, scale, c1, c2))
+    return out
+
+
+class TestSameKeyRule:
+    """Two single atoms of one (rot, scale) key: ``cmp_phase`` decides by the
+    Gaussian cross product, and the factored engine's ``gauss_in_h`` and
+    ``gauss_cmp_phase`` decide on the Gaussians alone.  Checked against a
+    200-digit mpmath phase and against the product path."""
+
+    PAIRS = same_key_pairs(seed=17, count=300)
+
+    def test_cmp_phase_matches_the_oracle(self):
+        kinds = set()
+        for rot, scale, c1, c2 in self.PAIRS:
+            a, b = EC([(rot, scale, c1)]), EC([(rot, scale, c2)])
+            assert a.key_pair(b) is not None
+            want = oracle_cmp(a, b)
+            assert a.cmp_phase(b) == want and b.cmp_phase(a) == -want, (rot, scale, c1, c2)
+            kinds.add((want, a.in_upper_semiclosed() == b.in_upper_semiclosed()))
+        # equal phases, both orders inside one bucket, pairs across the buckets
+        assert {(0, True), (1, True), (-1, True), (1, False), (-1, False)} <= kinds
+
+    def test_cmp_phase_matches_the_product_path(self, monkeypatch):
+        want = [EC([(r, s, c1)]).cmp_phase(EC([(r, s, c2)])) for r, s, c1, c2 in self.PAIRS]
+        monkeypatch.setattr(EC, "key_pair", lambda self, other: None)
+        assert [EC([(r, s, c1)]).cmp_phase(EC([(r, s, c2)])) for r, s, c1, c2 in self.PAIRS] == want
+
+    def test_factored_tests_match_the_values(self):
+        for rot, scale, c1, c2 in self.PAIRS:
+            a, b = EC([(rot, scale, c1)]), EC([(rot, scale, c2)])
+            assert exact.gauss_in_h(rot, c1) == a.in_upper_semiclosed() == (oracle_phase(a) > 0)
+            if a.in_upper_semiclosed() == b.in_upper_semiclosed():
+                assert exact.gauss_cmp_phase(c1, c2) == a.cmp_phase(b)
+
+    def test_other_pairs_keep_the_product_path(self):
+        a = EC([(F(1, 3), F(0), gr(1, 2))])
+        assert a.key_pair(EC([(F(1, 3), F(1), gr(1, 2))])) is None
+        assert a.key_pair(EC([(F(1, 4), F(0), gr(1, 2))])) is None
+        assert a.key_pair(a + EC.unit(F(1, 5))) is None
+        b = EC.unit(F(1, 5)) * gr(2, 1) + EC.unit(F(1, 7))
+        assert a.cmp_phase(b) == oracle_cmp(a, b)
+
+
+def test_tan_bracket_is_sound():
+    """lo < tan(pi*r) < hi for every r in [0, 1/2) with denominator <= 48,
+    against sympy's tan(pi*r) to 60 digits; tan is rational only at r = 0 and
+    1/4 (Niven), where lo <= tan <= hi."""
+    sympy = pytest.importorskip("sympy")
+    margin = sympy.Float(10) ** -50
+    rots = sorted({F(p, q) for q in range(1, 49) for p in range(q) if F(p, q) < F(1, 2)})
+    for r in rots:
+        lo, hi = (sympy.Rational(x.numerator, x.denominator) for x in exact._tan_bracket(r))
+        exact_r = sympy.Rational(r.numerator, r.denominator)
+        t = sympy.tan(sympy.pi * exact_r, evaluate=False).evalf(60)
+        if r in (0, F(1, 4)):  # tan(pi*r) = 4r
+            assert lo <= sympy.Rational(4 * r) <= hi
+        else:
+            assert t - lo > margin and hi - t > margin, r
+
+
 class TestLaurent:
     def test_basic(self):
         f = Laurent({0: gr(-1), 1: gr(0, 1)})

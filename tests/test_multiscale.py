@@ -23,7 +23,7 @@ from anstab.multiscale import (
     validate_msc,
 )
 from anstab.sampling import random_msc
-from anstab.stability import class_value
+from anstab.stability import TiltState, class_value
 
 
 def a2_limit_datum():
@@ -301,6 +301,35 @@ class TestActionOnMsc:
         norm = normalize_representative(m)
         assert a.charge(0)[2] == rot * norm.charge(0)[2]
         assert a.charge(1)[1] == rot * norm.charge(1)[1]
+
+
+def test_factored_levels_match_the_product_path(monkeypatch):
+    """``plumb`` and ``c_act_msc`` run factored levels, and a plumbed level
+    that mixes two factors unfactored; both must return the objects the
+    engine returns with every level kept as ExactComplex values and the
+    same-key rule off."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(30):
+        m = random_msc(rng, rng.choice([2, 3, 4, 5]), max_levels=2)
+        taus = [rng.choice([INFTY, (F(rng.randrange(0, 8), 4), F(-rng.randrange(1, 9), 2))])
+                for _ in range(m.L)]
+        lam = (F(rng.randrange(-16, 17), 8), F(rng.randrange(-4, 5), 4))
+        p = plumb(m, taus)
+        cases.append((m, taus, lam, p, c_act_msc(p, lam)))
+    init = TiltState.__init__
+
+    def unfactored(self, *args):
+        init(self, *args)
+        for i, f in enumerate(self.factors):
+            if f:
+                self.charges[i], self.factors[i] = self.level(i), None
+
+    monkeypatch.setattr(TiltState, "__init__", unfactored)
+    monkeypatch.setattr(EC, "key_pair", lambda self, other: None)
+    for m, taus, lam, p, out in cases:
+        assert plumb(m, taus) == p
+        assert c_act_msc(p, lam) == out
 
 
 class TestDefect:

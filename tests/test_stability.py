@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anstab.exact import EC, gr
+from anstab.exact import EC, ExactComplex, GaussianRational, gr
 from anstab.hearts import Heart, HeartError, heart_equal, shift_heart, standard_heart
+from anstab.sampling import random_heart
 from anstab.stability import (
+    StabilityCondition,
     StabilityError,
+    TiltState,
     as_exact_value,
     as_lambda,
     c_act,
@@ -122,6 +126,49 @@ class TestAction:
         rot = EC.unit(lam)
         for gamma in [(1, 0, 0), (1, 1, 0), (2, -1, 3)]:
             assert r.value(gamma) == rot * s.value(gamma)
+
+
+def unfactored_c_act(sigma: StabilityCondition, lam) -> StabilityCondition:
+    """``c_act`` with its level kept as ExactComplex values: rotations
+    multiply every value and the phase tests read the values."""
+    st = TiltState(sigma.heart, [sigma.charge_dict()])
+    st.charges[0], st.factors[0] = st.level(0), None
+    st.act_from(0, *as_lambda(lam))
+    return StabilityCondition(st.heart, tuple(sorted(st.charges[0].items())))
+
+
+class TestFactoredLevels:
+    """``c_act`` on Gaussian charges runs on one factored level; it must
+    return the same heart and charge as the product path."""
+
+    @staticmethod
+    def conditions(seed: int):
+        rng = random.Random(seed)
+        for n in range(2, 9):
+            for k in range(4):
+                h = random_heart(rng, n, depth=4)
+                values = {}
+                for l in h.labels:  # a Gaussian in H, sometimes on the negative axis
+                    im = F(rng.randrange(0 if k == 0 else 1, 7), rng.randrange(1, 4))
+                    re = rng.randrange(-6, 7) if im else -rng.randrange(1, 7)
+                    values[l] = gr(F(re, rng.randrange(1, 4)), im)
+                lam = (F(rng.randrange(-30, 31), 12), F(rng.randrange(-6, 7), 6))
+                yield validate(h, values), lam
+
+    def test_factored_c_act_matches_the_product_path(self, monkeypatch):
+        cases = [(sigma, lam, c_act(sigma, lam)) for sigma, lam in self.conditions(seed=23)]
+        monkeypatch.setattr(ExactComplex, "key_pair", lambda self, other: None)
+        for sigma, lam, got in cases:
+            want = unfactored_c_act(sigma, lam)
+            assert got.heart == want.heart and got.charge == want.charge, (sigma, lam)
+
+    def test_gaussian_charges_are_factored(self):
+        sigma, lam = next(self.conditions(seed=23))
+        st = TiltState(sigma.heart, [sigma.charge_dict()])
+        assert st.factors == [(0, 0)]
+        st.act_from(0, *as_lambda(lam))
+        assert st.factors[0] is not None
+        assert all(isinstance(v, GaussianRational) for v in st.charges[0].values())
 
 
 @pytest.mark.parametrize("value", [0.1, 0.1 + 0.2j, (0.5, 1), "1/2"])
