@@ -61,6 +61,7 @@ class QuiverWithPotential:
             if (a, b) in seen:
                 raise QuiverError(f"parallel arrows ({a},{b})")
             seen.add((a, b))
+        object.__setattr__(self, "_arrow_set", frozenset(seen))
         used: set[Arrow] = set()
         for cyc in self.cycles:
             if len(cyc) != 3:
@@ -88,7 +89,7 @@ class QuiverWithPotential:
     # -- basic queries
 
     def arrow_count(self, v: int, w: int) -> int:
-        return sum(1 for a in self.arrows if a == (v, w))
+        return int((v, w) in self._arrow_set)  # arrows are never parallel
 
     def components(self, subset: Iterable[int] | None = None) -> list[frozenset[int]]:
         """Connected components of the underlying graph, optionally restricted."""

@@ -474,6 +474,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed the pipe: exit quietly
+        sys.stdout = open(os.devnull, "w")
+        return 0
     except json.JSONDecodeError as exc:
         print(f"malformed JSON near {exc.pos}: {exc.msg}", file=sys.stderr)
         return 2

@@ -13,14 +13,16 @@ adds to ``scale``).  Crucially, sign tests are decidable:
   numbers (a relation would make e^(pi*(s-s')) algebraic), so Im(v) = 0 is
   equivalent to the per-scale groups vanishing individually;
 * with rot in [0, 1/2), a single atom's Re or Im is
-  x*cos(pi*rot) + y*sin(pi*rot) for rationals x, y read off a + b*i, with
-  cos > 0 and sin > 0 unless rot = 0: the signs of x and y decide unless they
-  are opposite, and then the sign is that of x exactly when
+  x*cos(pi*rot) + y*sin(pi*rot) for x, y read off a + b*i, with cos > 0 and
+  sin > 0 unless rot = 0; one routine, ``_xy_sign``, decides its sign for
+  integer and rational x, y.  The signs of x and y decide unless they are
+  opposite, and then the sign is that of x exactly when
   q = |x|/|y| > tan(pi*rot).  tan(pi*rot) is increasing with tan(pi/4) = 1,
   so q = 1, q > 1 with rot <= 1/4 and q < 1 with rot >= 1/4 are symbolic;
   otherwise q - tan(pi*rot) is nonzero (by Niven's theorem tan(pi*rot) is
   rational only at rot = 0 and 1/4): q outside a cached rational bracket
-  lo <= tan(pi*rot) <= hi decides, and intervals decide the rest;
+  lo <= tan(pi*rot) <= hi decides, all by cross-multiplying, and intervals
+  decide the rest;
 * for one factor f and Gaussians c1, c2, the phases of f*c1 and f*c2 inside one
   half-plane bucket are ordered by the cross product Im(conj(c1)*c2);
 * nonzero quantities are separated from 0 by escalating-precision interval
@@ -116,6 +118,14 @@ def _fractions_to_json(*qs: Fraction) -> list[int]:
 # Gaussian rationals
 
 
+def _times_minus_i(c, quarter_turns: int):
+    """c * (-i)^quarter_turns, for c a ``GaussianRational`` or ``GaussInt``."""
+    re, im = c.re, c.im
+    for _ in range(quarter_turns % 4):
+        re, im = im, -re
+    return type(c)(re, im) if quarter_turns % 4 else c
+
+
 @dataclass(frozen=True, slots=True)
 class GaussianRational:
     re: Fraction
@@ -158,16 +168,7 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def times_minus_i(self, quarter_turns: int) -> "GaussianRational":
-        """Multiply by (-i)^quarter_turns."""
-        q = quarter_turns % 4
-        if q == 0:
-            return self
-        if q == 1:
-            return GaussianRational(self.im, -self.re)
-        if q == 2:
-            return -self
-        return GaussianRational(-self.im, self.re)
+    times_minus_i = _times_minus_i
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -279,43 +280,77 @@ def _atom_sign(rot: Fraction, c: GaussianRational, part: str) -> int:
         return 0
     if not 0 <= rot < _HALF:
         rot, _, c = _normalize_atom(rot, Fraction(0), c)
-    x, y = _xy(c, part)
+    return _xy_sign(rot, *_xy(c, part))
+
+
+def _xy_sign(rot: Fraction, x, y) -> int:
+    """Sign of x*cos(pi*rot) + y*sin(pi*rot) for rot in [0, 1/2) and x, y
+    ints or Fractions; |x| is compared with |y| and the tan bracket by
+    cross-multiplying, and a Fraction is built only for intervals."""
     sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
     if rot == 0 or sy == 0:
         return sx
     if sx == 0 or sx == sy:
         return sy
-    # opposite signs: x*cos + y*sin has the sign of x exactly when
+    # opposite signs: the sign is that of x exactly when
     # q = |x|/|y| > tan(pi*rot), and tan(pi/4) = 1
-    q = abs(x) / abs(y)
-    if q == 1:
+    ax, ay = abs(x), abs(y)
+    if ax == ay:
         return sx * ((rot < _QUARTER) - (rot > _QUARTER))
-    if q > 1 and rot <= _QUARTER:
+    if ax > ay and rot <= _QUARTER:
         return sx
-    if q < 1 and rot >= _QUARTER:
+    if ax < ay and rot >= _QUARTER:
         return sy
     bracket = _tan_bracket(rot)
-    if bracket and not bracket[0] <= q <= bracket[1]:
-        return sx if q > bracket[1] else sy
+    if bracket:
+        lo, hi = bracket
+        if ax * hi.denominator > hi.numerator * ay:
+            return sx
+        if ax * lo.denominator < lo.numerator * ay:
+            return sy
+    q = Fraction(ax) / ay
     return sx * _certified_sign(
         lambda: _iv_frac(q) - _iv_pi(iv.tan, rot, iv.prec), "phase comparison"
     )
 
 
-def gauss_in_h(rot: Fraction, c: GaussianRational) -> bool:
-    """``in_upper_semiclosed`` of e^(-i*pi*rot) * c times any positive real."""
-    s = _atom_sign(rot, c, "im")
-    return s > 0 or s == 0 and _atom_sign(rot, c, "re") < 0
+def gauss_in_h(rot: Fraction, c) -> bool:
+    """``in_upper_semiclosed`` of e^(-i*pi*rot) * c times any positive real,
+    for c a ``GaussianRational`` or ``GaussInt``."""
+    if not 0 <= rot < _HALF:
+        q, rot = divmod(rot, _HALF)
+        c = c.times_minus_i(q)
+    s = _xy_sign(rot, c.im, -c.re)
+    return s > 0 or s == 0 and _xy_sign(rot, c.re, c.im) < 0
 
 
-def gauss_cmp_phase(c1: GaussianRational, c2: GaussianRational) -> int:
-    """``cmp_phase`` of f*c1 against f*c2 (f nonzero) in one half-plane bucket:
-    minus the sign of Im(conj(c1)*c2); 0 when they are parallel.  Compared as
-    c1.im*c2.re against c1.re*c2.im over their positive common denominator."""
-    (a, b), (c, d) = c1.re.as_integer_ratio(), c1.im.as_integer_ratio()
-    (e, f), (g, h) = c2.re.as_integer_ratio(), c2.im.as_integer_ratio()
-    x, y = c * e * b * h, a * g * d * f
+def gauss_cmp_phase(c1, c2) -> int:
+    """``cmp_phase`` of f*c1 against f*c2 (f nonzero) in one half-plane bucket,
+    for Gaussian rationals or integers: minus the sign of Im(conj(c1)*c2),
+    0 when they are parallel."""
+    x, y = c1.im * c2.re, c1.re * c2.im
     return (x > y) - (x < y)
+
+
+@dataclass(slots=True)
+class GaussInt:
+    """re + im*i with integer parts: a factored level's value times its
+    positive level denominator, which changes no phase."""
+
+    re: int
+    im: int
+
+    def __add__(self, other: "GaussInt") -> "GaussInt":
+        return GaussInt(self.re + other.re, self.im + other.im)
+
+    def __neg__(self) -> "GaussInt":
+        return GaussInt(-self.re, -self.im)
+
+    def is_zero(self) -> bool:
+        return not (self.re or self.im)
+
+    times_minus_i = _times_minus_i
+    cmp_phase = gauss_cmp_phase
 
 
 # ---------------------------------------------------------------------------

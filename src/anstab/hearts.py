@@ -126,23 +126,23 @@ def standard_heart(n: int) -> Heart:
     return Heart(tuple(range(1, n + 1)), classes, make_linear(n))
 
 
-def tilt_multiplicity(h: Heart, s: int, t: int, direction: int) -> int:
-    """Copies of S_s that tilting h at s in ``direction`` adds to simple t:
-    ext^1(S_t, S_s) for a forward tilt, ext^1(S_s, S_t) for a backward one."""
-    return h.ext1(t, s) if direction > 0 else h.ext1(s, t)
+def tilt_neighbours(h: Heart, s: int, direction: int) -> list[int]:
+    """The labels t that gain one copy of S_s when h is tilted at s in
+    ``direction``: arrows t -> s for a forward tilt, s -> t for a backward
+    one.  Arrows are never parallel, so no label gains two copies."""
+    if direction > 0:
+        return [a for a, b in h.ext.arrows if b == s]
+    return [b for a, b in h.ext.arrows if a == s]
 
 
 def _tilt(h: Heart, s: int, direction: int) -> Heart:
     if s not in h.labels:
         raise HeartError(f"unknown simple label {s}")
     cs = h.cls(s)
-    classes = []
-    for l, c in zip(h.labels, h.classes):
-        if l == s:
-            classes.append(tuple(-x for x in cs))
-        else:
-            m = tilt_multiplicity(h, s, l, direction)
-            classes.append(tuple(x + m * y for x, y in zip(c, cs)))
+    gain = tilt_neighbours(h, s, direction)
+    classes = [tuple(x + y for x, y in zip(c, cs)) if l in gain else c
+               for l, c in zip(h.labels, h.classes)]
+    classes[h.labels.index(s)] = tuple(-x for x in cs)
     return h.with_classes(
         classes,
         ext=mutate(h.ext, s),

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .anquiver import enumerate_strings
-from .exact import EC, AnstabError, ExactComplex, GaussianRational, gauss_cmp_phase, gauss_in_h, gr
-from .hearts import Heart, KClass, _tilt, shift_heart, tilt_multiplicity
+from .exact import EC, AnstabError, ExactComplex, GaussianRational, GaussInt, gauss_in_h, gr
+from .hearts import Heart, KClass, _tilt, shift_heart, tilt_neighbours
 
 
 class StabilityError(AnstabError):
@@ -204,16 +205,18 @@ class TiltState:
     Values are ``ExactComplex`` charges or, for degeneration limits,
     ``exact.Laurent`` families with ExactComplex coefficients; the engine
     needs ``+``, unary ``-``, ``is_zero``, ``in_upper_semiclosed``,
-    ``cmp_phase`` and ``value * x`` for an integer x (tilts) or an
-    ExactComplex x (rotations, ``act_from``).  A level whose nonzero values
-    are single atoms of one (rot, scale) key is factored: ``factors[i]`` is
-    that key and ``charges[i]`` holds Gaussian rationals, so a rotation moves
-    the key, a tilt is Gaussian arithmetic, and the phase tests are
-    ``exact.gauss_in_h`` and ``exact.gauss_cmp_phase``; ``level(i)`` expands
-    it back.  A tilt at s updates every level holding s alongside the
-    K-classes; settling forward-tilts at the quotient simple of minimal phase
-    (ties by label) until every quotient value lies in H, against one cap of
-    80n^2 + 16.
+    ``cmp_phase`` and ``value * x`` for an ExactComplex x (rotations,
+    ``act_from``).  A level whose nonzero values are single atoms of one
+    (rot, scale) key is factored: ``factors[i]`` is (rot, scale, D), rot in
+    [0, 1/2) and D > 0 the lcm of the level's denominators, and a value is
+    e^(-i*pi*rot) e^(pi*scale) g / D for its ``exact.GaussInt`` g.  A rotation
+    moves the key and turns each g, a tilt is integer addition, the phase
+    tests are ``exact.gauss_in_h`` and an integer cross product, and
+    ``level(i)`` divides by D at the engine's exits.  A tilt at s adds the
+    value of s to its arrow neighbours on every level holding s
+    (``hearts.tilt_neighbours``), alongside the K-classes; settling
+    forward-tilts at the quotient simple of minimal phase (ties by label)
+    until every quotient value lies in H, against one cap of 80n^2 + 16.
     """
 
     def __init__(self, heart: Heart, charges, levels=()):
@@ -224,10 +227,14 @@ class TiltState:
             atoms = [v.atoms for v in ch.values() if isinstance(v, ExactComplex)]
             keys = {a[0][:2] if len(a) == 1 else None for a in atoms if a}
             key = keys.pop() if len(atoms) == len(ch) and len(keys) == 1 else None
+            if key:  # over the lcm of the level's denominators
+                cs = {l: a[0][2] if a else gr(0) for l, a in zip(ch, atoms)}
+                d = lcm(*(x.denominator for c in cs.values() for x in (c.re, c.im)))
+                key, ch = (*key, d), {l: GaussInt(c.re.numerator * (d // c.re.denominator),
+                                                   c.im.numerator * (d // c.im.denominator))
+                                      for l, c in cs.items()}
             self.factors.append(key)
-            self.charges.append(
-                {l: a[0][2] if a else gr(0) for l, a in zip(ch, atoms)} if key else dict(ch)
-            )
+            self.charges.append(dict(ch))
         n = heart.rank()
         self.cap = 80 * n * n + 16
 
@@ -243,40 +250,37 @@ class TiltState:
         return frozenset()
 
     def tilt(self, s: int, direction: int) -> None:
-        h = self.heart
-        for t in h.labels:
-            if t == s:
-                continue
-            mult = tilt_multiplicity(h, s, t, direction)
-            if not mult:
-                continue
-            for ch in self.charges:
-                if t in ch:
-                    if s not in ch:
-                        raise AssertionError(
-                            "tilt at a simple outside a level would change "
-                            "that level's lattice"
-                        )
-                    ch[t] = ch[t] + ch[s] * mult
+        gain = tilt_neighbours(self.heart, s, direction)
         for ch in self.charges:
             if s in ch:
-                ch[s] = -ch[s]
-        self.heart = _tilt(h, s, direction)
+                v = ch[s]
+                for t in gain:
+                    if t in ch:
+                        ch[t] = ch[t] + v
+                ch[s] = -v
+            elif any(t in ch for t in gain):
+                raise AssertionError("tilt at a simple outside a level would change its lattice")
+        self.heart = _tilt(self.heart, s, direction)
 
     def rotate_from(self, i0: int, rot: Fraction, scale: Fraction) -> None:
         """Multiply levels i0..L by e^(-i*pi*rot) * e^(pi*scale)."""
         for i in range(i0, self.L + 1):
-            if self.factors[i]:
-                r, s = self.factors[i]
-                self.factors[i] = ((r + rot) % 2, s + scale)
+            if self.factors[i]:  # the key keeps its rot in [0, 1/2), as atoms do
+                r, s, d = self.factors[i]
+                turns, r = divmod(r + rot, Fraction(1, 2))
+                self.factors[i] = (r, s + scale, d)
+                self.charges[i] = {l: v.times_minus_i(turns) for l, v in self.charges[i].items()}
             else:
                 unit = EC.unit(rot, scale)
                 self.charges[i] = {l: v * unit for l, v in self.charges[i].items()}
 
     def level(self, i: int) -> dict:
         """The values of level i, as ExactComplex on a factored level."""
-        f = self.factors[i]
-        return {l: ExactComplex([(*f, c)]) if f else c for l, c in self.charges[i].items()}
+        if not self.factors[i]:
+            return dict(self.charges[i])
+        r, s, d = self.factors[i]
+        return {l: EC._normal([(r, s, GaussianRational(Fraction(c.re, d), Fraction(c.im, d)))])
+                for l, c in self.charges[i].items()}
 
     def merge(self, j: int) -> None:
         """Merge levels j-1 and j: the level-j quotient joins level j-1."""
@@ -333,15 +337,12 @@ class TiltState:
             self.settle(i + 1)
         quotient = sorted(self.lset(i) - self.lset(i + 1))
         charge, f = self.charges[i], self.factors[i]
-        if f:  # the key's rot in [0, 1/2) and its quarter turns
-            turns, rot = divmod(f[0], Fraction(1, 2))
         seen = {}  # label -> (value, in H); a tilt rebinds only the values it changes
 
         def in_h(l: int) -> bool:
             v = charge[l]
             if l not in seen or seen[l][0] is not v:
-                seen[l] = v, (gauss_in_h(rot, v.times_minus_i(turns)) if f
-                              else v.in_upper_semiclosed())
+                seen[l] = v, gauss_in_h(f[0], v) if f else v.in_upper_semiclosed()
             return seen[l][1]
 
         steps = 0
@@ -359,8 +360,7 @@ class TiltState:
                 raise WallHit(f"tilt loop at level {i} did not terminate")
             best = offenders[0]  # offenders are sorted: ties keep the smaller label
             for l in offenders[1:]:
-                a, b = charge[l], charge[best]
-                if (gauss_cmp_phase(a, b) if f else a.cmp_phase(b)) < 0:
+                if charge[l].cmp_phase(charge[best]) < 0:
                     best = l
             self.protected_tilt(best)
 

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -470,6 +472,21 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         code = main(["frobnicate"])
         assert code == 2
+
+    def test_closed_pipe_exits_quietly(self, capsys, monkeypatch):
+        """A reader that closes the pipe early ends the output with status 0,
+        nothing on stderr, and stdout pointed at the null device."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        code = main(["exchange-graph", "--heart", "A3", "--radius", "2"])
+        stdout = sys.stdout
+        stdout.close()
+        assert code == 0 and stdout.name == os.devnull
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "argv",

@@ -374,6 +374,33 @@ def test_tan_bracket_is_sound():
             assert t - lo > margin and hi - t > margin, r
 
 
+def test_xy_sign_on_integers_matches_atom_sign():
+    """``_xy_sign`` on an integer pair (x, y) decides as ``_atom_sign`` does on
+    x/d + (y/d)i as Fractions, and both agree with a 60-digit evaluation of
+    x*cos(pi*r) + y*sin(pi*r) (0 below 1e-40).  Every r in [0, 1/2) with denominator <= 48,
+    with seeded pairs at q = |x|/|y| = 1, above and below 1, and at and just
+    past both ends of the tan bracket."""
+    rng = random.Random(41)
+    rots = sorted({F(p, q) for q in range(1, 49) for p in range(q) if F(p, q) < F(1, 2)})
+    for r in rots:
+        m = rng.randrange(1, 50)
+        pairs = [(m, -m), (-m, m), (0, m), (m, 0), (0, 0), (5 * m, -m), (-m, 3 * m)]
+        pairs += [(rng.randrange(-99, 100), rng.randrange(-99, 100)) for _ in range(4)]
+        if bracket := exact._tan_bracket(r):
+            for end, nudge in zip(bracket, (-1, 1)):
+                n, d = end.numerator, end.denominator
+                pairs += [(n, -d), (2 * n + nudge, -2 * d)]
+        with mpmath.workdps(60):
+            t = mpmath.pi * mpmath.mpf(r.numerator) / r.denominator
+            cos, sin, tiny = mpmath.cos(t), mpmath.sin(t), mpmath.mpf(10) ** -40
+            for x, y in pairs:
+                d = rng.randrange(1, 13)
+                got = exact._xy_sign(r, x, y)
+                assert got == exact._atom_sign(r, gr(F(x, d), F(y, d)), "re"), (r, x, y)
+                v = x * cos + y * sin
+                assert got == (0 if abs(v) < tiny else mpmath.sign(v)), (r, x, y)
+
+
 class TestLaurent:
     def test_basic(self):
         f = Laurent({0: gr(-1), 1: gr(0, 1)})

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from anstab.anquiver import mutate
 from anstab.exact import mat_det
 from anstab.hearts import (
     Heart,
     HeartError,
+    _tilt,
     apply_tilt_word,
     backward_tilt,
     canonical_form,
@@ -72,6 +74,24 @@ class TestTilts:
     def test_unknown_label(self):
         with pytest.raises(HeartError):
             forward_tilt(standard_heart(2), 9)
+
+    def test_neighbour_rule_matches_the_per_label_rule(self):
+        """Only the arrow neighbours of s gain a copy of [s]: the tilt equals
+        the rule [t] -> [t] + m * [s] with m = ext^1(t, s) forward and
+        ext^1(s, t) backward, asked of every label."""
+        vertices, _ = exchange_graph(standard_heart(4), 3)
+        for h in vertices.values():
+            for s in h.labels:
+                for direction in (1, -1):
+                    cs = h.cls(s)
+                    want = []
+                    for t, c in zip(h.labels, h.classes):
+                        m = h.ext1(t, s) if direction > 0 else h.ext1(s, t)
+                        want.append(tuple(-x for x in cs) if t == s
+                                    else tuple(x + m * y for x, y in zip(c, cs)))
+                    got = _tilt(h, s, direction)
+                    assert got.classes == tuple(want), (h, s, direction)
+                    assert got.ext == mutate(h.ext, s)
 
     def test_unimodular(self):
         rng = random.Random(3)

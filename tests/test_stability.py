@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anstab.exact import EC, ExactComplex, GaussianRational, gr
+from anstab.exact import EC, ExactComplex, GaussInt, gr
 from anstab.hearts import Heart, HeartError, heart_equal, shift_heart, standard_heart
 from anstab.sampling import random_heart
 from anstab.stability import (
@@ -165,10 +165,31 @@ class TestFactoredLevels:
     def test_gaussian_charges_are_factored(self):
         sigma, lam = next(self.conditions(seed=23))
         st = TiltState(sigma.heart, [sigma.charge_dict()])
-        assert st.factors == [(0, 0)]
+        assert st.factors[0][:2] == (0, 0)
         st.act_from(0, *as_lambda(lam))
         assert st.factors[0] is not None
-        assert all(isinstance(v, GaussianRational) for v in st.charges[0].values())
+        d = st.factors[0][2]
+        assert type(d) is int and d > 0
+        assert all(isinstance(v, GaussInt) and type(v.re) is type(v.im) is int
+                   for v in st.charges[0].values())
+
+
+    def test_level_returns_the_input_charge(self):
+        """A factored level over its denominator D reads back exactly: seeded
+        charges with denominators 1-12, zero entries and negative reals, some
+        sharing a rotated key."""
+        rng = random.Random(31)
+        for _ in range(200):
+            h = random_heart(rng, rng.randrange(2, 8), depth=3)
+            unit = EC.unit(F(rng.randrange(-24, 25), 12), F(rng.randrange(-3, 4), 2))
+            ch = {}
+            for l in h.labels:
+                re = F(rng.randrange(-30, 31), rng.randrange(1, 13))
+                im = rng.choice([0, 0, F(rng.randrange(-30, 31), rng.randrange(1, 13))])
+                ch[l] = EC.rational(re, im) * unit
+            st = TiltState(h, [ch])
+            assert st.factors[0] is not None or all(v.is_zero() for v in ch.values())
+            assert st.level(0) == ch
 
 
 @pytest.mark.parametrize("value", [0.1, 0.1 + 0.2j, (0.5, 1), "1/2"])
