@@ -15,7 +15,6 @@ forced by the CY3 duality  hom - ext^1 + ext^1(op) - hom(op).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,6 +31,12 @@ class StringCapExceeded(QuiverError):
 
 Arrow = tuple[int, int]
 Cycle = tuple[Arrow, Arrow, Arrow]
+
+
+def check_ints(xs: Iterable, what: str) -> None:
+    """Reject JSON ``true`` and ``1.0`` where an integer belongs: both equal 1."""
+    if bad := [x for x in xs if type(x) is not int]:
+        raise QuiverError(f"{what} {bad[0]!r} is not an integer")
 
 
 def _canon_cycle(cycle: Sequence[Arrow]) -> Cycle:
@@ -132,14 +137,11 @@ class QuiverWithPotential:
 
     @staticmethod
     def from_json(data: dict) -> "QuiverWithPotential":
-        return QuiverWithPotential.build(
-            data["vertices"],
-            [tuple(a) for a in data["arrows"]],
-            [[tuple(a) for a in cyc] for cyc in data.get("cycles", [])],
-        )
-
-    def __str__(self) -> str:
-        return json.dumps(self.to_json())
+        arrows = [tuple(a) for a in data["arrows"]]
+        cycles = [[tuple(a) for a in cyc] for cyc in data.get("cycles", [])]
+        check_ints(data["vertices"], "vertex")
+        check_ints([x for a in arrows + [a for c in cycles for a in c] for x in a], "arrow end")
+        return QuiverWithPotential.build(data["vertices"], arrows, cycles)
 
 
 def make_linear(n: int) -> QuiverWithPotential:

@@ -25,6 +25,9 @@ adds to ``scale``).  Crucially, sign tests are decidable:
   decide the rest;
 * for one factor f and Gaussians c1, c2, the phases of f*c1 and f*c2 inside one
   half-plane bucket are ordered by the cross product Im(conj(c1)*c2);
+* the factored form lives here: ``factor`` writes a level of single atoms of
+  one (rot, scale) key as that key, a common denominator and ``GaussInt``
+  values, and ``expand`` reads it back; no other module reads atoms;
 * nonzero quantities are separated from 0 by escalating-precision interval
   arithmetic (mpmath.iv); past a 16,384-bit cap it raises ``PrecisionError``.
   The enclosures of cos, sin, tan(pi*r) and e^(pi*s) sit in a bounded cache
@@ -42,7 +45,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
+from math import isfinite, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -507,8 +510,6 @@ class ExactComplex:
         b1, b2 = self.in_upper_semiclosed(), other.in_upper_semiclosed()
         if b1 != b2:
             return 1 if b1 else -1
-        if (pair := self.key_pair(other)) and (s := gauss_cmp_phase(*pair)):
-            return s  # the same-key rule; the cross product 0 falls through
         cross = self.conj() * other
         s = cross.im_sign()
         if s > 0:
@@ -519,11 +520,6 @@ class ExactComplex:
             return 0
         # antipodal within one bucket cannot happen: buckets are half-turns
         raise PrecisionError("phase comparison hit an antipodal pair")
-
-    def key_pair(self, other: "ExactComplex"):
-        """(c1, c2) when both values are single atoms c1, c2 of one (rot, scale) key."""
-        if len(self.atoms) == len(other.atoms) == 1 and self.atoms[0][:2] == other.atoms[0][:2]:
-            return self.atoms[0][2], other.atoms[0][2]
 
     def cmp_abs(self, other: "ExactComplex") -> int:
         d = self * self.conj() - other * other.conj()
@@ -622,7 +618,7 @@ class ExactComplex:
                 for a in atoms
             )
         parts = [data.get("re"), data.get("im")]
-        if not all(isinstance(x, int) or isinstance(x, float) and isfinite(x) for x in parts):
+        if not all(type(x) is int or type(x) is float and isfinite(x) for x in parts):
             raise AnstabError(f"expected finite numbers re and im, got {data!r}")
         return cls.rational(*map(Fraction, parts))
 
@@ -635,6 +631,28 @@ class ExactComplex:
 
 
 EC = ExactComplex
+
+
+def factor(values: Mapping):
+    """``(key, {label: GaussInt})`` when every nonzero value is one atom of a
+    common (rot, scale): key = (rot, scale, D), D > 0 the lcm of the
+    denominators, value = e^(-i*pi*rot) e^(pi*scale) g / D.  Else None."""
+    if not all(isinstance(v, ExactComplex) and len(v.atoms) <= 1 for v in values.values()):
+        return None
+    keys = {v.atoms[0][:2] for v in values.values() if v.atoms}
+    if len(keys) != 1:
+        return None
+    cs = {l: v.atoms[0][2] if v.atoms else _GR_ZERO for l, v in values.items()}
+    d = lcm(*(x.denominator for c in cs.values() for x in (c.re, c.im)))
+    return (*keys.pop(), d), {l: GaussInt(*(x.numerator * d // x.denominator for x in (c.re, c.im)))
+                              for l, c in cs.items()}
+
+
+def expand(key, gs: Mapping) -> dict:
+    """The ``ExactComplex`` values of a factored level: the inverse of ``factor``."""
+    r, s, d = key
+    return {l: EC._normal([(r, s, GaussianRational(Fraction(g.re, d), Fraction(g.im, d)))])
+            for l, g in gs.items()}
 
 
 def phase_cmp_rational(c: GaussianRational, r: Fraction) -> int:

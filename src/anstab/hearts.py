@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .anquiver import QuiverWithPotential, _canon_cycle, make_linear, mutate
+from .anquiver import QuiverWithPotential, _canon_cycle, check_ints, make_linear, mutate
 from .exact import AnstabError, det_adjugate
 
 
@@ -109,13 +109,10 @@ class Heart:
         classes = tuple(tuple(s["class"]) for s in data["simples"])
         ext = QuiverWithPotential.from_json(data["extquiver"])
         prov = data.get("provenance", {})
-        heart = Heart(
-            labels,
-            classes,
-            ext,
-            tuple((p[0], p[1]) for p in prov.get("word", [])),
-            prov.get("shift", 0),
-        )
+        word = tuple((p[0], p[1]) for p in prov.get("word", []))
+        check_ints(labels, "simple label")
+        check_ints([*(x for p in word for x in p), prov.get("shift", 0)], "provenance entry")
+        heart = Heart(labels, classes, ext, word, prov.get("shift", 0))
         heart.check_basis()
         return heart
 

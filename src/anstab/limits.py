@@ -102,11 +102,7 @@ class LaurentCharge:
 
 
 def _on_positive_reals(v: EC) -> bool:
-    """Whether v lies on R_{>0}.  A single atom has a rational phase exactly
-    when it lies on an axis or a diagonal (Niven), so its phase fraction
-    decides without intervals."""
-    if len(v.atoms) == 1:
-        return v.phase_fraction() == 0
+    """Whether v lies on R_{>0}; on a single atom both signs are symbolic."""
     return v.im_sign() == 0 and v.re_sign() > 0
 
 
@@ -114,9 +110,6 @@ def _on_positive_reals(v: EC) -> bool:
 class LevelAssignment:
     level_of: tuple[tuple[int, int], ...]   # (label, level)
     valuations: tuple[int, ...]             # valuation per level, increasing
-
-    def level(self, label: int) -> int:
-        return dict(self.level_of)[label]
 
     def level_sets(self) -> list[frozenset[int]]:
         out = [set() for _ in self.valuations]
@@ -162,7 +155,6 @@ def extract_limit(heart: Heart, zc: LaurentCharge):
     """
     _check_admissible(heart, zc)
     st = TiltState(heart, [dict(zc.families)])
-    st.settle(0)
     rot = Fraction(0)
     for _round in range(len(ROTATION_SCHEDULE) + 1):
         h, fams = st.heart, st.charges[0]

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .anquiver import enumerate_strings, restrict
-from .exact import AnstabError, ExactComplex, gauss_in_h
+from .exact import AnstabError, ExactComplex, GaussInt, factor, gauss_in_h
 from .hearts import Heart, canonical_form
 from .klattice import simple_twist_data
 from .stability import (
@@ -111,16 +111,19 @@ def _h_window_label(values: Sequence[tuple[int, ExactComplex]]) -> int | None:
 
     Returns the first label a such that every value b satisfies
     phase(b) - phase(a) in (-1, 0]; None when no common rotation exists.
-    For single atoms c_a, c_b of one key, conj(v_a) * v_b is a positive
-    multiple of the Gaussian conj(c_a) * c_b.
+    On a level that ``exact.factor`` accepts, conj(v_a) * v_b is a positive
+    multiple of conj(g_a) * g_b for the level's Gaussian integers g.
     """
+    ch = dict(values)
+    _, gs = factor(ch) or (None, None)
 
-    def above(va: ExactComplex, vb: ExactComplex) -> bool:
-        if pair := va.key_pair(vb):
-            return gauss_in_h(0, pair[0].conj() * pair[1])
-        return (va.conj() * vb).in_upper_semiclosed()
+    def above(a: int, b: int) -> bool:
+        if gs:
+            (x1, y1), (x2, y2) = ((g.re, g.im) for g in (gs[a], gs[b]))
+            return gauss_in_h(0, GaussInt(x1 * x2 + y1 * y2, x1 * y2 - y1 * x2))
+        return (ch[a].conj() * ch[b]).in_upper_semiclosed()
 
-    return next((a for a, va in values if not any(above(va, vb) for _, vb in values)), None)
+    return next((a for a in ch if not any(above(a, b) for b in ch)), None)
 
 
 def _check_type_constraints(top: Heart, chain: list[frozenset[int]]) -> None:

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Mapping
 
 from .anquiver import enumerate_strings
-from .exact import EC, AnstabError, ExactComplex, GaussianRational, GaussInt, gauss_in_h, gr
+from .exact import EC, AnstabError, ExactComplex, GaussianRational, expand, factor, gauss_in_h
 from .hearts import Heart, KClass, _tilt, shift_heart, tilt_neighbours
 
 
@@ -206,13 +205,12 @@ class TiltState:
     ``exact.Laurent`` families with ExactComplex coefficients; the engine
     needs ``+``, unary ``-``, ``is_zero``, ``in_upper_semiclosed``,
     ``cmp_phase`` and ``value * x`` for an ExactComplex x (rotations,
-    ``act_from``).  A level whose nonzero values are single atoms of one
-    (rot, scale) key is factored: ``factors[i]`` is (rot, scale, D), rot in
-    [0, 1/2) and D > 0 the lcm of the level's denominators, and a value is
-    e^(-i*pi*rot) e^(pi*scale) g / D for its ``exact.GaussInt`` g.  A rotation
-    moves the key and turns each g, a tilt is integer addition, the phase
-    tests are ``exact.gauss_in_h`` and an integer cross product, and
-    ``level(i)`` divides by D at the engine's exits.  A tilt at s adds the
+    ``act_from``).  A level that ``exact.factor`` accepts is kept factored:
+    ``factors[i]`` is its key (rot, scale, D) and its values are
+    ``exact.GaussInt``.  A rotation moves the key and turns each value, a
+    tilt is integer addition, the phase tests are ``exact.gauss_in_h`` and
+    an integer cross product, and ``level(i)`` reads the values back through
+    ``exact.expand`` at the engine's exits.  A tilt at s adds the
     value of s to its arrow neighbours on every level holding s
     (``hearts.tilt_neighbours``), alongside the K-classes; settling
     forward-tilts at the quotient simple of minimal phase (ties by label)
@@ -222,19 +220,9 @@ class TiltState:
     def __init__(self, heart: Heart, charges, levels=()):
         self.heart = heart
         self.levels: list[frozenset[int]] = list(levels)
-        self.factors, self.charges = [], []
-        for ch in charges:  # factored when every nonzero value is one atom of one key
-            atoms = [v.atoms for v in ch.values() if isinstance(v, ExactComplex)]
-            keys = {a[0][:2] if len(a) == 1 else None for a in atoms if a}
-            key = keys.pop() if len(atoms) == len(ch) and len(keys) == 1 else None
-            if key:  # over the lcm of the level's denominators
-                cs = {l: a[0][2] if a else gr(0) for l, a in zip(ch, atoms)}
-                d = lcm(*(x.denominator for c in cs.values() for x in (c.re, c.im)))
-                key, ch = (*key, d), {l: GaussInt(c.re.numerator * (d // c.re.denominator),
-                                                   c.im.numerator * (d // c.im.denominator))
-                                      for l, c in cs.items()}
-            self.factors.append(key)
-            self.charges.append(dict(ch))
+        levels_factored = [factor(ch) or (None, ch) for ch in charges]
+        self.factors = [key for key, _ in levels_factored]
+        self.charges = [dict(ch) for _, ch in levels_factored]
         n = heart.rank()
         self.cap = 80 * n * n + 16
 
@@ -278,9 +266,7 @@ class TiltState:
         """The values of level i, as ExactComplex on a factored level."""
         if not self.factors[i]:
             return dict(self.charges[i])
-        r, s, d = self.factors[i]
-        return {l: EC._normal([(r, s, GaussianRational(Fraction(c.re, d), Fraction(c.im, d)))])
-                for l, c in self.charges[i].items()}
+        return expand(self.factors[i], self.charges[i])
 
     def merge(self, j: int) -> None:
         """Merge levels j-1 and j: the level-j quotient joins level j-1."""

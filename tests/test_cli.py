@@ -530,6 +530,14 @@ class TestExitCodes:
                       "2": [[0, 1, 1, 1, 1]]}),
             a2_limit({"1": [[0, -1, 1, 0, 1]], "2": [[0, 1, 1, 1, 1]], "7": [[0, 0, 1, 1, 1]]}),
             a2_limit({"1": [[0, -1, 1, 0, 1]]}),
+            # JSON true and 1.0 equal 1 but are not labels, vertices or integers
+            ["tilt", "--heart", json.dumps(dict(A2_HEART, simples=[
+                {"label": True, "class": [1, 0]}, {"label": 2, "class": [0, 1]}])), "--word", "2"],
+            ["tilt", "--heart", json.dumps(dict(A2_HEART, extquiver={
+                "vertices": [1.0, 2], "arrows": [[1.0, 2]]})), "--word", "2"],
+            ["tilt", "--heart", json.dumps(dict(A2_HEART, provenance={"word": [[2, True]]})),
+             "--word", "2"],
+            ["c-act", a2_sigma({"re": True, "im": True}), "--lam", "1/2"],
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv):

@@ -318,10 +318,9 @@ def same_key_pairs(seed: int, count: int):
 
 
 class TestSameKeyRule:
-    """Two single atoms of one (rot, scale) key: ``cmp_phase`` decides by the
-    Gaussian cross product, and the factored engine's ``gauss_in_h`` and
-    ``gauss_cmp_phase`` decide on the Gaussians alone.  Checked against a
-    200-digit mpmath phase and against the product path."""
+    """Two single atoms of one (rot, scale) key: the factored engine's
+    ``gauss_in_h`` and ``gauss_cmp_phase`` decide on the Gaussians alone.
+    Checked against a 200-digit mpmath phase and against ``cmp_phase``."""
 
     PAIRS = same_key_pairs(seed=17, count=300)
 
@@ -329,17 +328,11 @@ class TestSameKeyRule:
         kinds = set()
         for rot, scale, c1, c2 in self.PAIRS:
             a, b = EC([(rot, scale, c1)]), EC([(rot, scale, c2)])
-            assert a.key_pair(b) is not None
             want = oracle_cmp(a, b)
             assert a.cmp_phase(b) == want and b.cmp_phase(a) == -want, (rot, scale, c1, c2)
             kinds.add((want, a.in_upper_semiclosed() == b.in_upper_semiclosed()))
         # equal phases, both orders inside one bucket, pairs across the buckets
         assert {(0, True), (1, True), (-1, True), (1, False), (-1, False)} <= kinds
-
-    def test_cmp_phase_matches_the_product_path(self, monkeypatch):
-        want = [EC([(r, s, c1)]).cmp_phase(EC([(r, s, c2)])) for r, s, c1, c2 in self.PAIRS]
-        monkeypatch.setattr(EC, "key_pair", lambda self, other: None)
-        assert [EC([(r, s, c1)]).cmp_phase(EC([(r, s, c2)])) for r, s, c1, c2 in self.PAIRS] == want
 
     def test_factored_tests_match_the_values(self):
         for rot, scale, c1, c2 in self.PAIRS:
@@ -350,9 +343,6 @@ class TestSameKeyRule:
 
     def test_other_pairs_keep_the_product_path(self):
         a = EC([(F(1, 3), F(0), gr(1, 2))])
-        assert a.key_pair(EC([(F(1, 3), F(1), gr(1, 2))])) is None
-        assert a.key_pair(EC([(F(1, 4), F(0), gr(1, 2))])) is None
-        assert a.key_pair(a + EC.unit(F(1, 5))) is None
         b = EC.unit(F(1, 5)) * gr(2, 1) + EC.unit(F(1, 7))
         assert a.cmp_phase(b) == oracle_cmp(a, b)
 

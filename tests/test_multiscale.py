@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from anstab.exact import EC, gr
+from anstab import multiscale, stability
+from anstab.exact import EC, factor, gr
 from anstab.hearts import Heart, HeartError, forward_tilt, standard_heart
 from anstab.klattice import simple_twist_data
 from anstab.multiscale import (
@@ -11,6 +12,7 @@ from anstab.multiscale import (
     MscError,
     MultiScaleStab,
     NeighborhoodSpec,
+    _h_window_label,
     c_act_msc,
     chart_coords,
     commutation_defect,
@@ -23,7 +25,7 @@ from anstab.multiscale import (
     validate_msc,
 )
 from anstab.sampling import random_msc
-from anstab.stability import TiltState, class_value
+from anstab.stability import class_value
 
 
 def a2_limit_datum():
@@ -303,11 +305,20 @@ class TestActionOnMsc:
         assert a.charge(1)[1] == rot * norm.charge(1)[1]
 
 
-def test_factored_levels_match_the_product_path(monkeypatch):
+@pytest.fixture
+def unfactor(monkeypatch):
+    """Call it to keep every level as ExactComplex values: ``exact.factor``
+    then accepts no level, in the tilt engine and in the level checks."""
+    def patch():
+        for module in (stability, multiscale):
+            monkeypatch.setattr(module, "factor", lambda values: None)
+    return patch
+
+
+def test_factored_levels_match_the_product_path(unfactor):
     """``plumb`` and ``c_act_msc`` run factored levels, and a plumbed level
     that mixes two factors unfactored; both must return the objects the
-    engine returns with every level kept as ExactComplex values and the
-    same-key rule off."""
+    engine returns with every level kept as ExactComplex values."""
     rng = random.Random(29)
     cases = []
     for _ in range(30):
@@ -317,19 +328,65 @@ def test_factored_levels_match_the_product_path(monkeypatch):
         lam = (F(rng.randrange(-16, 17), 8), F(rng.randrange(-4, 5), 4))
         p = plumb(m, taus)
         cases.append((m, taus, lam, p, c_act_msc(p, lam)))
-    init = TiltState.__init__
-
-    def unfactored(self, *args):
-        init(self, *args)
-        for i, f in enumerate(self.factors):
-            if f:
-                self.charges[i], self.factors[i] = self.level(i), None
-
-    monkeypatch.setattr(TiltState, "__init__", unfactored)
-    monkeypatch.setattr(EC, "key_pair", lambda self, other: None)
+    unfactor()
     for m, taus, lam, p, out in cases:
         assert plumb(m, taus) == p
         assert c_act_msc(p, lam) == out
+
+
+def test_level_checks_match_the_unfactored_path(unfactor):
+    """``_h_window_label``, ``validate_msc`` and ``normalize_representative``
+    give the same results, and the same errors, with ``exact.factor`` off.
+    Seeded deeper levels of three kinds: Gaussian, one rotated and rescaled
+    key, and two keys mixed; plus the levels ``plumb`` and ``c_act_msc``
+    return."""
+    rng = random.Random(37)
+
+    def gauss():
+        while True:
+            g = gr(F(rng.randrange(-6, 7), rng.randrange(1, 4)), rng.randrange(-6, 7))
+            if not g.is_zero():
+                return g
+
+    def unit():
+        return EC.unit(F(rng.randrange(-24, 25), 12), F(rng.randrange(-2, 3), 2))
+
+    inputs, levels = [], []
+    while len(inputs) < 90:
+        m = random_msc(rng, rng.choice([2, 3, 4, 5]), max_levels=2)
+        if m.L == 0:
+            continue
+        kind = len(inputs) % 3
+        units = [EC.rational(1)] if kind == 0 else [unit() for _ in range(kind)]
+        charges = [m.charge(0)]
+        for i in range(1, m.L + 1):
+            quot = m.quotient_labels(i)
+            charges.append({l: gauss() * rng.choice(units) if l in quot else v
+                            for l, v in m.charge(i).items()})
+            levels.append([(l, charges[i][l]) for l in sorted(quot)])
+        inputs.append((m.top, charges))
+        p = c_act_msc(plumb(m, [(F(rng.randrange(0, 8), 4), -1)] + [INFTY] * (m.L - 1)), F(1, 3))
+        for i in range(p.L + 1):
+            levels.append([(l, p.charge(i)[l]) for l in sorted(p.quotient_labels(i))])
+
+    def outcome(top, charges):
+        try:
+            m = validate_msc(top, charges)
+        except MscError as exc:
+            return str(exc)
+        return m, normalize_representative(m)
+
+    want = [outcome(top, charges) for top, charges in inputs]
+    want_labels = [_h_window_label(vals) for vals in levels]
+    keys = [factor(dict(vals)) for vals in levels]
+    # each kind, levels with and without a window, and rejected inputs
+    assert {None, (0, 0)} <= {k and k[0][:2] for k in keys}
+    assert any(k and k[0][:2] != (0, 0) for k in keys)
+    assert None in want_labels and any(a is not None for a in want_labels)
+    assert any(isinstance(w, str) for w in want) and any(isinstance(w, tuple) for w in want)
+    unfactor()
+    assert [outcome(top, charges) for top, charges in inputs] == want
+    assert [_h_window_label(vals) for vals in levels] == want_labels
 
 
 class TestDefect:

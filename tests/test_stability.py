@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anstab.exact import EC, ExactComplex, GaussInt, gr
+from anstab.exact import EC, GaussInt, gr
 from anstab.hearts import Heart, HeartError, heart_equal, shift_heart, standard_heart
 from anstab.sampling import random_heart
 from anstab.stability import (
@@ -155,11 +155,9 @@ class TestFactoredLevels:
                 lam = (F(rng.randrange(-30, 31), 12), F(rng.randrange(-6, 7), 6))
                 yield validate(h, values), lam
 
-    def test_factored_c_act_matches_the_product_path(self, monkeypatch):
-        cases = [(sigma, lam, c_act(sigma, lam)) for sigma, lam in self.conditions(seed=23)]
-        monkeypatch.setattr(ExactComplex, "key_pair", lambda self, other: None)
-        for sigma, lam, got in cases:
-            want = unfactored_c_act(sigma, lam)
+    def test_factored_c_act_matches_the_product_path(self):
+        for sigma, lam in self.conditions(seed=23):
+            got, want = c_act(sigma, lam), unfactored_c_act(sigma, lam)
             assert got.heart == want.heart and got.charge == want.charge, (sigma, lam)
 
     def test_gaussian_charges_are_factored(self):
