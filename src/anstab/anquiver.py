@@ -14,7 +14,6 @@ forced by the CY3 duality  hom - ext^1 + ext^1(op) - hom(op).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -41,8 +40,9 @@ def check_ints(xs: Iterable, what: str) -> None:
 
 def _canon_cycle(cycle: Sequence[Arrow]) -> Cycle:
     """Rotate a 3-cycle so its lexicographically smallest arrow comes first."""
-    rots = [tuple(cycle[i:]) + tuple(cycle[:i]) for i in range(3)]
-    return min(rots)  # type: ignore[return-value]
+    cycle = tuple(cycle)
+    i = cycle.index(min(cycle))
+    return cycle[i:] + cycle[:i]  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -153,48 +153,81 @@ def make_linear(n: int) -> QuiverWithPotential:
     )
 
 
-def mutate(q: QuiverWithPotential, k: int) -> QuiverWithPotential:
-    """Mutation at the vertex k, with 2-cycle cancellation against the potential.
+class MutableQuiver:
+    """A quiver with potential mutated in place: the vertex tuple, the arrow
+    set and the index ``cycle`` from each arrow to its potential 3-cycle.
 
-    For every path a: i -> k, b: k -> j we either add the composite arrow
-    [ab]: i -> j together with the potential 3-cycle ([ab], b*, a*), or, when
-    {a, b} already lie in a potential 3-cycle closed by c: j -> i, cancel the
-    would-be 2-cycle by deleting c and adding nothing.  In the A_n mutation
-    class this reduction is complete: any closing arrow belongs to a potential
-    term with the path, so no 2-cycles survive (checked at construction).
+    ``mutate`` checks every arrow and cycle it adds against the conditions
+    ``QuiverWithPotential`` enforces (loop, 2-cycle, parallel arrow, arrow in
+    two cycles); the arrows it leaves alone were valid already.  ``freeze``
+    runs the full validating constructor.
     """
-    if k not in q.vertices:
-        raise QuiverError(f"unknown vertex {k}")
-    incoming = [a for a in q.arrows if a[1] == k]
-    outgoing = [a for a in q.arrows if a[0] == k]
-    removed: set[Arrow] = set()
-    composites: list[Arrow] = []
-    new_cycles: list[tuple[Arrow, Arrow, Arrow]] = []
-    for a, b in itertools.product(incoming, outgoing):
-        i, j = a[0], b[1]
-        cyc = q.cycle_of(a)
-        if cyc is not None and b in cyc:
-            third = next(x for x in cyc if x not in (a, b))
-            removed.add(third)
-        else:
-            comp = (i, j)
-            composites.append(comp)
-            new_cycles.append((comp, (j, k), (k, i)))
-    arrows: list[Arrow] = []
-    for a in q.arrows:
-        if a in removed:
-            continue
-        if a[0] == k or a[1] == k:
-            arrows.append((a[1], a[0]))
-        else:
-            arrows.append(a)
-    arrows.extend(composites)
-    kept_cycles = [
-        cyc
-        for cyc in q.cycles
-        if all(x not in removed and k not in x for x in cyc)
-    ]
-    return QuiverWithPotential.build(q.vertices, arrows, kept_cycles + new_cycles)
+
+    __slots__ = ("vertices", "arrows", "cycle")
+
+    def __init__(self, q: QuiverWithPotential):
+        self.vertices = q.vertices
+        self.arrows = set(q._arrow_set)
+        self.cycle = {a: cyc for cyc in q.cycles for a in cyc}
+
+    def neighbours(self, k: int, direction: int) -> list[int]:
+        """The vertices t with an arrow t -> k (direction > 0) or k -> t."""
+        if direction > 0:
+            return [a for a, b in self.arrows if b == k]
+        return [b for a, b in self.arrows if a == k]
+
+    def mutate(self, k: int) -> None:
+        """Mutation at the vertex k, with 2-cycle cancellation against the potential.
+
+        For every path a: i -> k, b: k -> j we either add the composite arrow
+        [ab]: i -> j together with the potential 3-cycle ([ab], b*, a*), or,
+        when {a, b} already lie in a potential 3-cycle closed by c: j -> i,
+        cancel the would-be 2-cycle by deleting c and adding nothing.  In the
+        A_n mutation class this reduction is complete: any closing arrow
+        belongs to a potential term with the path, so no 2-cycles survive.
+        """
+        if k not in self.vertices:
+            raise QuiverError(f"unknown vertex {k}")
+        arrows, cycle = self.arrows, self.cycle
+        incoming = [a for a in arrows if a[1] == k]
+        outgoing = [a for a in arrows if a[0] == k]
+        composites = []
+        for a in incoming:
+            cyc = cycle.get(a)
+            for b in outgoing:
+                if cyc is not None and b in cyc:
+                    arrows.discard((b[1], a[0]))
+                else:
+                    composites.append((a[0], b[1]))
+        for a in incoming + outgoing:  # cycles through k go, arrows at k turn
+            for x in cycle.pop(a, ()):
+                cycle.pop(x, None)
+            arrows.remove(a)
+        arrows.update((b, a) for a, b in incoming + outgoing)
+        for i, j in composites:
+            if i == j:
+                raise QuiverError(f"loop at vertex {i}")
+            if (j, i) in arrows:
+                raise QuiverError(f"2-cycle between {i} and {j}")
+            if (i, j) in arrows:
+                raise QuiverError(f"parallel arrows ({i},{j})")
+            arrows.add((i, j))
+            cyc = ((i, j), (j, k), (k, i))
+            for x in cyc:
+                if x in cycle:
+                    raise QuiverError(f"arrow {x} lies in two potential cycles")
+                cycle[x] = cyc
+
+    def freeze(self) -> QuiverWithPotential:
+        cycles = frozenset(map(_canon_cycle, set(self.cycle.values())))
+        return QuiverWithPotential(self.vertices, tuple(sorted(self.arrows)), cycles)
+
+
+def mutate(q: QuiverWithPotential, k: int) -> QuiverWithPotential:
+    """``q`` mutated at the vertex k (see ``MutableQuiver.mutate``)."""
+    m = MutableQuiver(q)
+    m.mutate(k)
+    return m.freeze()
 
 
 def restrict(q: QuiverWithPotential, subset: Iterable[int]) -> QuiverWithPotential:

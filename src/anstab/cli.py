@@ -150,17 +150,28 @@ def parse_braid_word(expr: str) -> K.BraidWord:
     return K.BraidWord.build(letters)
 
 
+def _unique_keys(pairs):
+    """``object_pairs_hook``: an object naming one key twice is a usage error,
+    where ``json`` would keep the last value silently."""
+    obj = {}
+    for k, v in pairs:
+        if k in obj:
+            raise UsageError(f"key {k!r} appears twice in one JSON object")
+        obj[k] = v
+    return obj
+
+
 def _load_json_arg(arg: str):
     if arg == "-":
-        return json.load(sys.stdin)
+        return json.load(sys.stdin, object_pairs_hook=_unique_keys)
     if os.path.exists(arg):
         try:
             with open(arg) as fh:
-                return json.load(fh)
+                return json.load(fh, object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise UsageError(f"cannot read {arg!r}: {exc.strerror}") from exc
     try:
-        return json.loads(arg)
+        return json.loads(arg, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise UsageError(f"not a readable path and not valid JSON: {exc}") from exc
 

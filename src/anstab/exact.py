@@ -14,9 +14,10 @@ adds to ``scale``).  Crucially, sign tests are decidable:
   equivalent to the per-scale groups vanishing individually;
 * with rot in [0, 1/2), a single atom's Re or Im is
   x*cos(pi*rot) + y*sin(pi*rot) for x, y read off a + b*i, with cos > 0 and
-  sin > 0 unless rot = 0; one routine, ``_xy_sign``, decides its sign for
-  integer and rational x, y.  The signs of x and y decide unless they are
-  opposite, and then the sign is that of x exactly when
+  sin > 0 unless rot = 0; one routine, ``RotSigns.xy_sign``, decides its
+  sign for integer and rational x, y, from constants kept once per rot
+  (``rot_signs``).  The signs of x and y decide unless they are opposite,
+  and then the sign is that of x exactly when
   q = |x|/|y| > tan(pi*rot).  tan(pi*rot) is increasing with tan(pi/4) = 1,
   so q = 1, q > 1 with rot <= 1/4 and q < 1 with rot >= 1/4 are symbolic;
   otherwise q - tan(pi*rot) is nonzero (by Niven's theorem tan(pi*rot) is
@@ -286,45 +287,72 @@ def _atom_sign(rot: Fraction, c: GaussianRational, part: str) -> int:
     return _xy_sign(rot, *_xy(c, part))
 
 
-def _xy_sign(rot: Fraction, x, y) -> int:
-    """Sign of x*cos(pi*rot) + y*sin(pi*rot) for rot in [0, 1/2) and x, y
-    ints or Fractions; |x| is compared with |y| and the tan bracket by
-    cross-multiplying, and a Fraction is built only for intervals."""
-    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
-    if rot == 0 or sy == 0:
-        return sx
-    if sx == 0 or sx == sy:
-        return sy
-    # opposite signs: the sign is that of x exactly when
-    # q = |x|/|y| > tan(pi*rot), and tan(pi/4) = 1
-    ax, ay = abs(x), abs(y)
-    if ax == ay:
-        return sx * ((rot < _QUARTER) - (rot > _QUARTER))
-    if ax > ay and rot <= _QUARTER:
-        return sx
-    if ax < ay and rot >= _QUARTER:
-        return sy
-    bracket = _tan_bracket(rot)
-    if bracket:
-        lo, hi = bracket
-        if ax * hi.denominator > hi.numerator * ay:
+class RotSigns:
+    """The rot-dependent constants of the sign ladder for one rot in
+    [0, 1/2), computed once per rot by ``rot_signs``: ``side`` is
+    sign(1/4 - rot) (None at rot = 0) and ``bracket`` the ``_tan_bracket``
+    ends as integers (lo_num, lo_den, hi_num, hi_den), None where unused."""
+
+    __slots__ = ("rot", "side", "bracket")
+
+    def __init__(self, rot: Fraction):
+        self.rot = rot
+        self.side = None if rot == 0 else (rot < _QUARTER) - (rot > _QUARTER)
+        bracket = _tan_bracket(rot) if self.side else None
+        self.bracket = bracket and tuple(x for end in bracket
+                                         for x in (end.numerator, end.denominator))
+
+    def xy_sign(self, x, y) -> int:
+        """Sign of x*cos(pi*rot) + y*sin(pi*rot) for x, y ints or Fractions;
+        |x| is compared with |y| and the tan bracket by cross-multiplying,
+        and a Fraction is built only for intervals."""
+        sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+        side = self.side
+        if side is None or sy == 0:
             return sx
-        if ax * lo.denominator < lo.numerator * ay:
+        if sx == 0 or sx == sy:
             return sy
-    q = Fraction(ax) / ay
-    return sx * _certified_sign(
-        lambda: _iv_frac(q) - _iv_pi(iv.tan, rot, iv.prec), "phase comparison"
-    )
+        # opposite signs: the sign is that of x exactly when
+        # q = |x|/|y| > tan(pi*rot), and tan(pi/4) = 1
+        ax, ay = abs(x), abs(y)
+        if ax == ay:
+            return sx * side
+        if ax > ay and side >= 0:
+            return sx
+        if ax < ay and side <= 0:
+            return sy
+        if self.bracket:
+            lo_n, lo_d, hi_n, hi_d = self.bracket
+            if ax * hi_d > hi_n * ay:
+                return sx
+            if ax * lo_d < lo_n * ay:
+                return sy
+        q, rot = Fraction(ax) / ay, self.rot
+        return sx * _certified_sign(
+            lambda: _iv_frac(q) - _iv_pi(iv.tan, rot, iv.prec), "phase comparison"
+        )
+
+    def in_h(self, c) -> bool:
+        """``in_upper_semiclosed`` of e^(-i*pi*rot) * c times any positive
+        real, for c a ``GaussianRational`` or ``GaussInt``."""
+        s = self.xy_sign(c.im, -c.re)
+        return s > 0 or s == 0 and self.xy_sign(c.re, c.im) < 0
+
+
+rot_signs = functools.lru_cache(maxsize=512)(RotSigns)
+
+
+def _xy_sign(rot: Fraction, x, y) -> int:
+    """``RotSigns.xy_sign`` for rot in [0, 1/2)."""
+    return rot_signs(rot).xy_sign(x, y)
 
 
 def gauss_in_h(rot: Fraction, c) -> bool:
-    """``in_upper_semiclosed`` of e^(-i*pi*rot) * c times any positive real,
-    for c a ``GaussianRational`` or ``GaussInt``."""
+    """``RotSigns.in_h`` for any rational rot."""
     if not 0 <= rot < _HALF:
         q, rot = divmod(rot, _HALF)
         c = c.times_minus_i(q)
-    s = _xy_sign(rot, c.im, -c.re)
-    return s > 0 or s == 0 and _xy_sign(rot, c.re, c.im) < 0
+    return rot_signs(rot).in_h(c)
 
 
 def gauss_cmp_phase(c1, c2) -> int:

@@ -12,16 +12,18 @@ K-class updates under tilting:
     backward at s:  [s] -> -[s],   [t] -> [t] + ext^1(s, t) * [s]
 
 and the ext-quiver mutates at s.  A double forward tilt at the same label
-realizes the inverse twist on all simple classes.
+realizes the inverse twist on all simple classes.  ``HeartState.tilt`` is
+the one place this rule lives: it tilts a heart in place, and ``_tilt`` and
+``apply_tilt_word`` freeze the result into a validated ``Heart``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .anquiver import QuiverWithPotential, _canon_cycle, check_ints, make_linear, mutate
+from .anquiver import MutableQuiver, QuiverWithPotential, _canon_cycle, check_ints, make_linear
 from .exact import AnstabError, det_adjugate
 
 
@@ -83,15 +85,6 @@ class Heart:
         """ext^1(S_s, S_t) = number of arrows s -> t."""
         return self.ext.arrow_count(s, t)
 
-    def with_classes(self, classes, ext=None, prov=None, shift=None) -> "Heart":
-        return Heart(
-            self.labels,
-            tuple(classes),
-            self.ext if ext is None else ext,
-            self.provenance if prov is None else tuple(prov),
-            self.shift if shift is None else shift,
-        )
-
     # -- serialization
 
     def to_json(self) -> dict:
@@ -123,28 +116,46 @@ def standard_heart(n: int) -> Heart:
     return Heart(tuple(range(1, n + 1)), classes, make_linear(n))
 
 
-def tilt_neighbours(h: Heart, s: int, direction: int) -> list[int]:
-    """The labels t that gain one copy of S_s when h is tilted at s in
-    ``direction``: arrows t -> s for a forward tilt, s -> t for a backward
-    one.  Arrows are never parallel, so no label gains two copies."""
-    if direction > 0:
-        return [a for a, b in h.ext.arrows if b == s]
-    return [b for a, b in h.ext.arrows if a == s]
+class HeartState:
+    """A heart tilted in place: classes by label, the ext-quiver as a
+    ``MutableQuiver`` and the provenance word as a list.  ``tilt`` is the one
+    K-class rule; ``freeze`` builds the validated ``Heart``."""
+
+    __slots__ = ("labels", "classes", "ext", "word", "shift")
+
+    def __init__(self, h: Heart):
+        self.labels = h.labels
+        self.classes = dict(zip(h.labels, h.classes))
+        self.ext = MutableQuiver(h.ext)
+        self.word = list(h.provenance)
+        self.shift = h.shift
+
+    def ext1(self, s: int, t: int) -> int:
+        return int((s, t) in self.ext.arrows)
+
+    def tilt(self, s: int, direction: int) -> list[int]:
+        """Tilt at s; returns the labels t that gained one copy of S_s: arrows
+        t -> s for a forward tilt, s -> t for a backward one.  Arrows are
+        never parallel, so no label gains two copies."""
+        classes = self.classes
+        if s not in classes:
+            raise HeartError(f"unknown simple label {s}")
+        cs = classes[s]
+        gain = self.ext.neighbours(s, direction)
+        for t in gain:
+            classes[t] = tuple(x + y for x, y in zip(classes[t], cs))
+        classes[s] = tuple(-x for x in cs)
+        self.ext.mutate(s)
+        self.word.append((s, direction))
+        return gain
+
+    def freeze(self) -> Heart:
+        return Heart(self.labels, tuple(map(self.classes.__getitem__, self.labels)),
+                     self.ext.freeze(), tuple(self.word), self.shift)
 
 
 def _tilt(h: Heart, s: int, direction: int) -> Heart:
-    if s not in h.labels:
-        raise HeartError(f"unknown simple label {s}")
-    cs = h.cls(s)
-    gain = tilt_neighbours(h, s, direction)
-    classes = [tuple(x + y for x, y in zip(c, cs)) if l in gain else c
-               for l, c in zip(h.labels, h.classes)]
-    classes[h.labels.index(s)] = tuple(-x for x in cs)
-    return h.with_classes(
-        classes,
-        ext=mutate(h.ext, s),
-        prov=h.provenance + ((s, direction),),
-    )
+    return apply_tilt_word(h, [(s, direction)])
 
 
 def forward_tilt(h: Heart, s: int) -> Heart:
@@ -156,9 +167,10 @@ def backward_tilt(h: Heart, s: int) -> Heart:
 
 
 def apply_tilt_word(h: Heart, word: Iterable[tuple[int, int]]) -> Heart:
+    state = HeartState(h)
     for s, d in word:
-        h = _tilt(h, s, d)
-    return h
+        state.tilt(s, d)
+    return state.freeze()
 
 
 def tilt_torsion_free(h: Heart, gens: Sequence[KClass]) -> Heart:
@@ -207,9 +219,9 @@ def heart_equal(h1: Heart, h2: Heart) -> bool:
 def shift_heart(h: Heart, k: int = 1) -> Heart:
     """The heart h[k]: classes flip sign for odd k; ext-quiver is unchanged."""
     if k % 2 == 0:
-        return h.with_classes(h.classes, shift=h.shift + k)
+        return replace(h, shift=h.shift + k)
     classes = tuple(tuple(-x for x in c) for c in h.classes)
-    return h.with_classes(classes, shift=h.shift + k - 1)
+    return replace(h, classes=classes, shift=h.shift + k - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,17 @@ class MultiScaleStab:
             charge_from_json(lvl["charge"], f"level {i} ")
             for i, lvl in enumerate(data["levels"])
         ]
-        return validate_msc(top, charges)
+        m = validate_msc(top, charges)
+        for i, lvl in enumerate(data["levels"]):
+            if "simples" in lvl:  # optional, but when given it must match
+                got, want = lvl["simples"], sorted(m.labels(i))
+                if not (isinstance(got, list) and all(type(x) is int for x in got)
+                        and sorted(got) == want):
+                    raise AnstabError(
+                        f"level {i} simples {got!r} are not the labels {want} "
+                        "its charge is defined on"
+                    )
+        return m
 
 
 # ---------------------------------------------------------------------------

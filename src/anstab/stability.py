@@ -12,7 +12,9 @@ shift, purely imaginary lam rescales without touching the heart.
 ``TiltState`` is the one engine behind this repair loop.  ``c_act`` is its
 zero-level case; ``multiscale`` runs it on nested level charges for the
 multi-scale action and plumbing, and ``limits`` on Laurent families to
-rotate and retilt degeneration limits.
+rotate and retilt degeneration limits.  Its tilts happen in place on one
+mutable heart (``hearts.HeartState``); the validated ``Heart`` is built only
+when someone reads ``TiltState.heart``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .anquiver import enumerate_strings
-from .exact import EC, AnstabError, ExactComplex, GaussianRational, expand, factor, gauss_in_h
-from .hearts import Heart, KClass, _tilt, shift_heart, tilt_neighbours
+from .exact import EC, AnstabError, ExactComplex, GaussianRational, expand, factor, rot_signs
+from .hearts import Heart, HeartState, KClass, shift_heart
 
 
 class StabilityError(AnstabError):
@@ -67,13 +69,21 @@ def charge_from_values(heart: Heart, values: Mapping[int, object]) -> dict[int, 
 
 
 def charge_from_json(data: Mapping, where: str = "") -> dict[int, ExactComplex]:
-    """Decode a ``{"label": value}`` charge map; errors name ``where`` and the simple."""
+    """Decode a ``{"label": value}`` charge map; errors name ``where`` and the
+    simple.  A key is the decimal string of a label (``str(int(key)) == key``),
+    so distinct keys name distinct simples."""
     if not isinstance(data, Mapping):
         raise AnstabError(f"{where}charge is not a map from labels to values")
     out = {}
     for l, v in data.items():
         try:
-            out[int(l)] = EC.from_json(v)
+            label = int(l)
+        except (TypeError, ValueError):
+            label = None
+        if label is None or str(label) != l:
+            raise AnstabError(f"{where}charge key {l!r} is not the decimal string of a label")
+        try:
+            out[label] = EC.from_json(v)
         except ValueError as exc:
             raise AnstabError(f"{where}simple {l}: {exc}") from exc
     return out
@@ -208,17 +218,22 @@ class TiltState:
     ``act_from``).  A level that ``exact.factor`` accepts is kept factored:
     ``factors[i]`` is its key (rot, scale, D) and its values are
     ``exact.GaussInt``.  A rotation moves the key and turns each value, a
-    tilt is integer addition, the phase tests are ``exact.gauss_in_h`` and
-    an integer cross product, and ``level(i)`` reads the values back through
-    ``exact.expand`` at the engine's exits.  A tilt at s adds the
-    value of s to its arrow neighbours on every level holding s
-    (``hearts.tilt_neighbours``), alongside the K-classes; settling
-    forward-tilts at the quotient simple of minimal phase (ties by label)
-    until every quotient value lies in H, against one cap of 80n^2 + 16.
+    tilt is integer addition, the phase tests are ``exact.RotSigns.in_h``
+    on integers (its rot constants fetched once per settle) and an integer
+    cross product, and ``level(i)`` reads the values back through
+    ``exact.expand`` at the engine's exits.
+
+    Tilts happen in place on a ``hearts.HeartState`` built at the first
+    tilt; reading ``heart`` builds the validated ``Heart``, kept until the
+    next tilt.  A tilt at s adds the value of s to the labels that gain a
+    copy of S_s, on every level holding s; settling forward-tilts at the
+    quotient simple of minimal phase (ties by label) until every quotient
+    value lies in H, against one cap of 80n^2 + 16.
     """
 
     def __init__(self, heart: Heart, charges, levels=()):
-        self.heart = heart
+        self._heart, self._state = heart, None
+        self.labels = frozenset(heart.labels)
         self.levels: list[frozenset[int]] = list(levels)
         levels_factored = [factor(ch) or (None, ch) for ch in charges]
         self.factors = [key for key, _ in levels_factored]
@@ -227,18 +242,35 @@ class TiltState:
         self.cap = 80 * n * n + 16
 
     @property
+    def heart(self) -> Heart:
+        if self._heart is None:
+            self._heart = self._state.freeze()
+        return self._heart
+
+    @heart.setter
+    def heart(self, h: Heart) -> None:
+        self._heart, self._state = h, None
+
+    def _tables(self) -> HeartState:
+        """The heart tilted in place, built from ``heart`` on the first tilt."""
+        if self._state is None:
+            self._state = HeartState(self._heart)
+        return self._state
+
+    @property
     def L(self) -> int:
         return len(self.levels)
 
     def lset(self, i: int) -> frozenset[int]:
         if i == 0:
-            return frozenset(self.heart.labels)
+            return self.labels
         if i <= self.L:
             return self.levels[i - 1]
         return frozenset()
 
     def tilt(self, s: int, direction: int) -> None:
-        gain = tilt_neighbours(self.heart, s, direction)
+        gain = self._tables().tilt(s, direction)
+        self._heart = None
         for ch in self.charges:
             if s in ch:
                 v = ch[s]
@@ -248,7 +280,6 @@ class TiltState:
                 ch[s] = -v
             elif any(t in ch for t in gain):
                 raise AssertionError("tilt at a simple outside a level would change its lattice")
-        self.heart = _tilt(self.heart, s, direction)
 
     def rotate_from(self, i0: int, rot: Fraction, scale: Fraction) -> None:
         """Multiply levels i0..L by e^(-i*pi*rot) * e^(pi*scale)."""
@@ -298,11 +329,12 @@ class TiltState:
         if not v:
             self.tilt(s, +1)
             return [(s, +1)]
-        snapshot = {l: self.heart.cls(l) for l in v}
+        h = self._tables()
+        snapshot = {l: h.classes[l] for l in v}
         word: list[tuple[int, int]] = []
         guard = 0
         while True:
-            extenders = sorted(l for l in v if self.heart.ext1(l, s) == 1)
+            extenders = sorted(l for l in v if h.ext1(l, s))
             if not extenders:
                 break
             guard += 1
@@ -313,7 +345,7 @@ class TiltState:
         undo = [(l, -dd) for (l, dd) in reversed(word)]
         for l, dd in undo:
             self.tilt(l, dd)
-        if {l: self.heart.cls(l) for l in v} != snapshot:
+        if {l: h.classes[l] for l in v} != snapshot:
             raise AssertionError("protected tilt failed to restore deeper levels")
         return word + [(s, +1)] + undo
 
@@ -323,12 +355,13 @@ class TiltState:
             self.settle(i + 1)
         quotient = sorted(self.lset(i) - self.lset(i + 1))
         charge, f = self.charges[i], self.factors[i]
+        test = rot_signs(f[0]).in_h if f else None  # the key's constants, fetched once
         seen = {}  # label -> (value, in H); a tilt rebinds only the values it changes
 
         def in_h(l: int) -> bool:
             v = charge[l]
             if l not in seen or seen[l][0] is not v:
-                seen[l] = v, gauss_in_h(f[0], v) if f else v.in_upper_semiclosed()
+                seen[l] = v, test(v) if test else v.in_upper_semiclosed()
             return seen[l][1]
 
         steps = 0

@@ -538,6 +538,17 @@ class TestExitCodes:
             ["tilt", "--heart", json.dumps(dict(A2_HEART, provenance={"word": [[2, True]]})),
              "--word", "2"],
             ["c-act", a2_sigma({"re": True, "im": True}), "--lam", "1/2"],
+            # a charge key is the decimal string of a label, and names it once
+            ["c-act", json.dumps({"heart": A2_HEART, "charge": {
+                "1": [-1, 1, 1, 1], "01": [0, 1, 1, 1], "2": [0, 1, 1, 1]}}), "--lam", "0"],
+            ["c-act", json.dumps({"heart": A2_HEART, "charge": {
+                "1": [-1, 1, 1, 1], " 2 ": [0, 1, 1, 1]}}), "--lam", "0"],
+            ["c-act", json.dumps({"heart": A2_HEART, "charge": {
+                "0_1": [-1, 1, 1, 1], "2": [0, 1, 1, 1]}}), "--lam", "0"],
+            ["c-act", a2_sigma([-1, 1, 1, 1]).replace('"2":', '"1": [0, 1, 1, 1], "2":'),
+             "--lam", "0"],
+            ["msc-validate",
+             a2_msc([-1, 1, 1, 1]).replace('"simples": [1, 2]', '"simples": [7, 8, 9]')],
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv):

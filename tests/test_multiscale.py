@@ -113,6 +113,25 @@ class TestValidate:
         assert again.charges == m.charges
 
 
+    def test_level_simples_must_match_the_charge(self):
+        """A level's ``simples`` is optional; when given it must list the
+        labels the chain derives for that level, in any order."""
+        from anstab.exact import AnstabError
+
+        data = a2_limit_datum().to_json()
+        data["levels"][1]["simples"] = [2]
+        with pytest.raises(AnstabError, match=r"level 1 simples \[2\]"):
+            MultiScaleStab.from_json(data)
+        for bad in ([7, 8, 9], [1], [1, 2, 2], [1.0, 2], "12"):
+            data["levels"][1]["simples"], data["levels"][0]["simples"] = [1], bad
+            with pytest.raises(AnstabError, match="level 0 simples") as err:
+                MultiScaleStab.from_json(data)
+            assert err.value.exit_code == 2
+        data["levels"][0]["simples"] = [2, 1]
+        assert equivalent(MultiScaleStab.from_json(data), a2_limit_datum())
+        del data["levels"][0]["simples"], data["levels"][1]["simples"]
+        assert equivalent(MultiScaleStab.from_json(data), a2_limit_datum())
+
     def test_json_roundtrip_multi_atom_charges(self):
         import json
 

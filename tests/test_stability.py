@@ -1,11 +1,22 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anstab.anquiver import QuiverError, QuiverWithPotential, mutate
 from anstab.exact import EC, GaussInt, gr
-from anstab.hearts import Heart, HeartError, heart_equal, shift_heart, standard_heart
+from anstab.hearts import (
+    Heart,
+    HeartError,
+    _tilt,
+    apply_tilt_word,
+    exchange_graph,
+    heart_equal,
+    shift_heart,
+    standard_heart,
+)
 from anstab.sampling import random_heart
 from anstab.stability import (
     StabilityCondition,
@@ -216,3 +227,51 @@ class TestSpectrum:
     def test_masses_positive(self):
         s = validate(standard_heart(3), {1: gr(-1, 1), 2: gr(0, 1), 3: gr(1, 2)})
         assert all(float(e.mass) > 0 for e in indecomposable_spectrum(s))
+
+
+class TestInPlaceTilts:
+    """``TiltState`` tilts one mutable heart in place and builds the frozen
+    ``Heart`` when it is read; the result must be the frozen tilt rule's."""
+
+    def test_engine_heart_matches_apply_tilt_word(self):
+        """Every heart within radius 3 of A2-A5, under seeded words of both
+        directions, read mid-word and at the end: classes, ext-quiver and
+        provenance equal ``apply_tilt_word``'s."""
+        rng = random.Random(47)
+        checked = 0
+        for n in range(2, 6):
+            vertices, _ = exchange_graph(standard_heart(n), 3)
+            for h in vertices.values():
+                word = [(rng.choice(h.labels), rng.choice((1, -1))) for _ in range(6)]
+                mid = rng.randrange(1, len(word))
+                st = TiltState(h, [{}])
+                assert st.heart is h
+                for k, (s, d) in enumerate(word, start=1):
+                    st.tilt(s, d)
+                    if k in (mid, len(word)):
+                        got, want = st.heart, apply_tilt_word(h, word[:k])
+                        assert got.classes == want.classes, (h, word[:k])
+                        assert got.ext == want.ext, (h, word[:k])
+                        assert got.provenance == want.provenance == h.provenance + tuple(word[:k])
+                        assert st.heart is got  # kept until the next tilt
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize(
+        "vertices, arrows, k, message",
+        [
+            ([1, 2, 3, 4], [(1, 3), (2, 3), (3, 4)], 3, "arrow (4, 3) lies in two potential cycles"),
+            ([1, 2, 3], [(1, 2), (2, 3), (1, 3)], 2, "parallel arrows (1,3)"),
+        ],
+    )
+    def test_each_step_checks_what_it_adds(self, vertices, arrows, k, message):
+        """Outside the A_n mutation class a mutation adds a bad arrow or
+        cycle: ``mutate``, ``_tilt`` and the engine's in-place tilt raise."""
+        q = QuiverWithPotential.build(vertices, arrows)
+        h = Heart(q.vertices, standard_heart(len(vertices)).classes, q)
+        with pytest.raises(QuiverError, match=re.escape(message)):
+            mutate(q, k)
+        with pytest.raises(QuiverError, match=re.escape(message)):
+            _tilt(h, k, +1)
+        with pytest.raises(QuiverError, match=re.escape(message)):
+            TiltState(h, [{}]).tilt(k, +1)
