@@ -488,9 +488,6 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader closed the pipe: exit quietly
         sys.stdout = open(os.devnull, "w")
         return 0
-    except json.JSONDecodeError as exc:
-        print(f"malformed JSON near {exc.pos}: {exc.msg}", file=sys.stderr)
-        return 2
     except AnstabError as exc:
         kind = "validation failure" if exc.exit_code == 1 else "usage error"
         print(f"{kind}: {exc}", file=sys.stderr)

@@ -14,21 +14,24 @@ adds to ``scale``).  Crucially, sign tests are decidable:
   equivalent to the per-scale groups vanishing individually;
 * with rot in [0, 1/2), a single atom's Re or Im is
   x*cos(pi*rot) + y*sin(pi*rot) for x, y read off a + b*i, with cos > 0 and
-  sin > 0 unless rot = 0; one routine, ``RotSigns.xy_sign``, decides its
-  sign for integer and rational x, y, from constants kept once per rot
-  (``rot_signs``).  The signs of x and y decide unless they are opposite,
-  and then the sign is that of x exactly when
+  sin > 0 unless rot = 0.  Every sign decision on an atom or a factored
+  value goes through ``rot_signs(rot)``: its ``xy_sign`` decides that sign
+  for integer and rational x, y from constants kept once per rot, and its
+  ``in_h`` tests half-plane membership.  The signs of x and y decide unless
+  they are opposite, and then the sign is that of x exactly when
   q = |x|/|y| > tan(pi*rot).  tan(pi*rot) is increasing with tan(pi/4) = 1,
   so q = 1, q > 1 with rot <= 1/4 and q < 1 with rot >= 1/4 are symbolic;
   otherwise q - tan(pi*rot) is nonzero (by Niven's theorem tan(pi*rot) is
   rational only at rot = 0 and 1/4): q outside a cached rational bracket
   lo <= tan(pi*rot) <= hi decides, all by cross-multiplying, and intervals
   decide the rest;
-* for one factor f and Gaussians c1, c2, the phases of f*c1 and f*c2 inside one
-  half-plane bucket are ordered by the cross product Im(conj(c1)*c2);
-* the factored form lives here: ``factor`` writes a level of single atoms of
-  one (rot, scale) key as that key, a common denominator and ``GaussInt``
-  values, and ``expand`` reads it back; no other module reads atoms;
+* for one factor f and Gaussians c1, c2, the phases of f*c1 and f*c2 inside
+  one half-plane bucket are ordered by the cross product Im(conj(c1)*c2)
+  (``gauss_cmp_phase``);
+* ``GaussianRational`` is the one Gaussian type: Fraction parts in atoms,
+  int parts on a factored level.  ``factor`` writes a level of single atoms
+  of one (rot, scale) key as that key, a common denominator and Gaussians
+  with int parts, and ``expand`` reads it back; no other module reads atoms;
 * nonzero quantities are separated from 0 by escalating-precision interval
   arithmetic (mpmath.iv); past a 16,384-bit cap it raises ``PrecisionError``.
   The enclosures of cos, sin, tan(pi*r) and e^(pi*s) sit in a bounded cache
@@ -122,18 +125,14 @@ def _fractions_to_json(*qs: Fraction) -> list[int]:
 # Gaussian rationals
 
 
-def _times_minus_i(c, quarter_turns: int):
-    """c * (-i)^quarter_turns, for c a ``GaussianRational`` or ``GaussInt``."""
-    re, im = c.re, c.im
-    for _ in range(quarter_turns % 4):
-        re, im = im, -re
-    return type(c)(re, im) if quarter_turns % 4 else c
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GaussianRational:
-    re: Fraction
-    im: Fraction
+    """re + im*i: Fraction parts in atoms, int parts on a factored level
+    (``factor``).  Treated as immutable; not ``frozen``, which would double
+    the cost of building one on the tilt engine's integer path."""
+
+    re: Fraction | int
+    im: Fraction | int
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -161,7 +160,7 @@ class GaussianRational:
         if n2 == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         c = self * other.conj()
-        return GaussianRational(c.re / n2, c.im / n2)
+        return GaussianRational(Fraction(c.re, n2), Fraction(c.im, n2))
 
     def conj(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -170,9 +169,14 @@ class GaussianRational:
         return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
-    times_minus_i = _times_minus_i
+    def times_minus_i(self, quarter_turns: int) -> "GaussianRational":
+        """self * (-i)^quarter_turns."""
+        re, im = self.re, self.im
+        for _ in range(quarter_turns % 4):
+            re, im = im, -re
+        return GaussianRational(re, im) if quarter_turns % 4 else self
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -278,15 +282,6 @@ def _xy(c: GaussianRational, part: str) -> tuple[Fraction, Fraction]:
     return (c.re, c.im) if part == "re" else (c.im, -c.re)
 
 
-def _atom_sign(rot: Fraction, c: GaussianRational, part: str) -> int:
-    """Sign of Re (``part="re"``) or Im (``"im"``) of e^(-i*pi*rot) * c."""
-    if c.is_zero():
-        return 0
-    if not 0 <= rot < _HALF:
-        rot, _, c = _normalize_atom(rot, Fraction(0), c)
-    return _xy_sign(rot, *_xy(c, part))
-
-
 class RotSigns:
     """The rot-dependent constants of the sign ladder for one rot in
     [0, 1/2), computed once per rot by ``rot_signs``: ``side`` is
@@ -332,9 +327,9 @@ class RotSigns:
             lambda: _iv_frac(q) - _iv_pi(iv.tan, rot, iv.prec), "phase comparison"
         )
 
-    def in_h(self, c) -> bool:
+    def in_h(self, c: GaussianRational) -> bool:
         """``in_upper_semiclosed`` of e^(-i*pi*rot) * c times any positive
-        real, for c a ``GaussianRational`` or ``GaussInt``."""
+        real, for int or Fraction parts of c."""
         s = self.xy_sign(c.im, -c.re)
         return s > 0 or s == 0 and self.xy_sign(c.re, c.im) < 0
 
@@ -342,46 +337,11 @@ class RotSigns:
 rot_signs = functools.lru_cache(maxsize=512)(RotSigns)
 
 
-def _xy_sign(rot: Fraction, x, y) -> int:
-    """``RotSigns.xy_sign`` for rot in [0, 1/2)."""
-    return rot_signs(rot).xy_sign(x, y)
-
-
-def gauss_in_h(rot: Fraction, c) -> bool:
-    """``RotSigns.in_h`` for any rational rot."""
-    if not 0 <= rot < _HALF:
-        q, rot = divmod(rot, _HALF)
-        c = c.times_minus_i(q)
-    return rot_signs(rot).in_h(c)
-
-
-def gauss_cmp_phase(c1, c2) -> int:
-    """``cmp_phase`` of f*c1 against f*c2 (f nonzero) in one half-plane bucket,
-    for Gaussian rationals or integers: minus the sign of Im(conj(c1)*c2),
-    0 when they are parallel."""
+def gauss_cmp_phase(c1: GaussianRational, c2: GaussianRational) -> int:
+    """``cmp_phase`` of f*c1 against f*c2 (f nonzero) in one half-plane bucket:
+    minus the sign of Im(conj(c1)*c2), 0 when they are parallel."""
     x, y = c1.im * c2.re, c1.re * c2.im
     return (x > y) - (x < y)
-
-
-@dataclass(slots=True)
-class GaussInt:
-    """re + im*i with integer parts: a factored level's value times its
-    positive level denominator, which changes no phase."""
-
-    re: int
-    im: int
-
-    def __add__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(self.re + other.re, self.im + other.im)
-
-    def __neg__(self) -> "GaussInt":
-        return GaussInt(-self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
-
-    times_minus_i = _times_minus_i
-    cmp_phase = gauss_cmp_phase
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +456,7 @@ class ExactComplex:
         """Exact sign of Re or Im: the atoms' common sign when each scale holds
         one atom and the nonzero atom signs agree, else certified by intervals."""
         if len({s for _, s, _ in self.atoms}) == len(self.atoms):
-            signs = {_atom_sign(r, c, part) for r, _, c in self.atoms} - {0}
+            signs = {rot_signs(r).xy_sign(*_xy(c, part)) for r, _, c in self.atoms} - {0}
             if len(signs) <= 1:
                 return max(signs, default=0)
 
@@ -662,9 +622,10 @@ EC = ExactComplex
 
 
 def factor(values: Mapping):
-    """``(key, {label: GaussInt})`` when every nonzero value is one atom of a
-    common (rot, scale): key = (rot, scale, D), D > 0 the lcm of the
-    denominators, value = e^(-i*pi*rot) e^(pi*scale) g / D.  Else None."""
+    """``(key, {label: g})`` when every nonzero value is one atom of a common
+    (rot, scale): key = (rot, scale, D), D > 0 the lcm of the denominators,
+    g a ``GaussianRational`` with int parts and
+    value = e^(-i*pi*rot) e^(pi*scale) g / D.  Else None."""
     if not all(isinstance(v, ExactComplex) and len(v.atoms) <= 1 for v in values.values()):
         return None
     keys = {v.atoms[0][:2] for v in values.values() if v.atoms}
@@ -672,7 +633,7 @@ def factor(values: Mapping):
         return None
     cs = {l: v.atoms[0][2] if v.atoms else _GR_ZERO for l, v in values.items()}
     d = lcm(*(x.denominator for c in cs.values() for x in (c.re, c.im)))
-    return (*keys.pop(), d), {l: GaussInt(*(x.numerator * d // x.denominator for x in (c.re, c.im)))
+    return (*keys.pop(), d), {l: GaussianRational(*(x.numerator * d // x.denominator for x in (c.re, c.im)))
                               for l, c in cs.items()}
 
 
@@ -685,7 +646,9 @@ def expand(key, gs: Mapping) -> dict:
 
 def phase_cmp_rational(c: GaussianRational, r: Fraction) -> int:
     """Compare phase(c) in (-1, 1] with the rational r reduced mod 2 into
-    (-1, 1]: ``cmp_phase`` of c against e^(i*pi*r)."""
+    (-1, 1]: ``cmp_phase`` of c against e^(i*pi*r).  Nothing in the package
+    calls it; it stays because the benchmark's tracer (``bench/spans.py``)
+    wraps it by name, until that span is dropped (ROADMAP item 2)."""
     return ExactComplex.from_gaussian(c).cmp_phase(ExactComplex.unit(-r))
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .anquiver import enumerate_strings, restrict
-from .exact import AnstabError, ExactComplex, GaussInt, factor, gauss_in_h
+from .exact import AnstabError, ExactComplex, factor, rot_signs
 from .hearts import Heart, canonical_form
 from .klattice import simple_twist_data
 from .stability import (
@@ -122,15 +122,14 @@ def _h_window_label(values: Sequence[tuple[int, ExactComplex]]) -> int | None:
     Returns the first label a such that every value b satisfies
     phase(b) - phase(a) in (-1, 0]; None when no common rotation exists.
     On a level that ``exact.factor`` accepts, conj(v_a) * v_b is a positive
-    multiple of conj(g_a) * g_b for the level's Gaussian integers g.
+    multiple of conj(g_a) * g_b for the level's factored Gaussians g.
     """
     ch = dict(values)
     _, gs = factor(ch) or (None, None)
 
     def above(a: int, b: int) -> bool:
         if gs:
-            (x1, y1), (x2, y2) = ((g.re, g.im) for g in (gs[a], gs[b]))
-            return gauss_in_h(0, GaussInt(x1 * x2 + y1 * y2, x1 * y2 - y1 * x2))
+            return rot_signs(0).in_h(gs[a].conj() * gs[b])
         return (ch[a].conj() * ch[b]).in_upper_semiclosed()
 
     return next((a for a in ch if not any(above(a, b) for b in ch)), None)
@@ -537,6 +536,8 @@ def in_neighborhood(
             continue
         ratio = cums[p] / cums[p - 1]
         r = abs(ratio)
+        if r == 0.0:  # the float witness cannot take its logarithm
+            raise MscError(f"plumbing scale at passage {p} underflows to 0 in floating point")
         if r >= spec.delta[p - 1]:
             return NeighborhoodVerdict(
                 False, f"plumbing scale {r:.3g} at passage {p} exceeds delta"

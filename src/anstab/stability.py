@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .anquiver import enumerate_strings
-from .exact import EC, AnstabError, ExactComplex, GaussianRational, expand, factor, rot_signs
+from .exact import (EC, AnstabError, ExactComplex, GaussianRational, expand, factor,
+                    gauss_cmp_phase, rot_signs)
 from .hearts import Heart, HeartState, KClass, shift_heart
 
 
@@ -217,11 +218,12 @@ class TiltState:
     ``cmp_phase`` and ``value * x`` for an ExactComplex x (rotations,
     ``act_from``).  A level that ``exact.factor`` accepts is kept factored:
     ``factors[i]`` is its key (rot, scale, D) and its values are
-    ``exact.GaussInt``.  A rotation moves the key and turns each value, a
-    tilt is integer addition, the phase tests are ``exact.RotSigns.in_h``
-    on integers (its rot constants fetched once per settle) and an integer
-    cross product, and ``level(i)`` reads the values back through
-    ``exact.expand`` at the engine's exits.
+    ``exact.GaussianRational`` with int parts.  A rotation moves the key and
+    turns each value, a tilt is integer addition, the half-plane test is
+    ``rot_signs(rot).in_h`` on integers (fetched once per settle), the phase
+    comparison is the integer cross product ``exact.gauss_cmp_phase``, and
+    ``level(i)`` reads the values back through ``exact.expand`` at the
+    engine's exits.
 
     Tilts happen in place on a ``hearts.HeartState`` built at the first
     tilt; reading ``heart`` builds the validated ``Heart``, kept until the
@@ -356,6 +358,7 @@ class TiltState:
         quotient = sorted(self.lset(i) - self.lset(i + 1))
         charge, f = self.charges[i], self.factors[i]
         test = rot_signs(f[0]).in_h if f else None  # the key's constants, fetched once
+        cmp = gauss_cmp_phase if f else (lambda a, b: a.cmp_phase(b))
         seen = {}  # label -> (value, in H); a tilt rebinds only the values it changes
 
         def in_h(l: int) -> bool:
@@ -379,7 +382,7 @@ class TiltState:
                 raise WallHit(f"tilt loop at level {i} did not terminate")
             best = offenders[0]  # offenders are sorted: ties keep the smaller label
             for l in offenders[1:]:
-                if charge[l].cmp_phase(charge[best]) < 0:
+                if cmp(charge[l], charge[best]) < 0:
                     best = l
             self.protected_tilt(best)
 

@@ -439,9 +439,16 @@ class TestValuesStartingWithDash:
 
 
 class TestExitCodes:
-    def test_malformed_json_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "msc-validate", "{not json")
-        assert code == 2
+    def test_malformed_json_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"a": ')
+        for code, _, err in [
+            run(capsys, "msc-validate", "{not json"),
+            piped(capsys, monkeypatch, '{"a": ', "c-act", "-", "--lam", "0"),
+            run(capsys, "c-act", str(bad), "--lam", "0"),
+            run(capsys, "braid", "--n", "3", "--word", "[[1,"),
+        ]:
+            assert code == 2 and err.startswith("usage error: ") and err.count("\n") == 1, err
 
     def test_invalid_msc_is_failure(self, capsys):
         bad = {

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from anstab import exact
 from anstab.exact import (
     EC,
+    GaussianRational,
     Laurent,
     PrecisionError,
     det_adjugate,
@@ -44,6 +45,16 @@ class TestGaussianRational:
             return
         assert (z / w) * w == z
 
+    def test_int_parts(self):
+        """Int parts, as on a factored level, divide exactly and equal and
+        hash like the same Fraction parts, also inside an ``ExactComplex``."""
+        q = GaussianRational(1, 0) / GaussianRational(2, 0)
+        assert q == gr(F(1, 2)) and type(q.re) is type(q.im) is F
+        assert GaussianRational(3, 4) / GaussianRational(0, 2) == gr(2, F(-3, 2))
+        for a, b in [(GaussianRational(3, 4), gr(3, 4)),
+                     (EC.from_gaussian(GaussianRational(3, 4)), EC.rational(3, 4))]:
+            assert a == b and hash(a) == hash(b)
+
 
 class TestPhaseComparator:
     @given(rationals, rationals, rationals)
@@ -70,7 +81,10 @@ class TestPhaseComparator:
 
 def test_octant_boundaries_are_symbolic(monkeypatch):
     def sign(rot, a, b):
-        return exact._atom_sign(F(rot), gr(a, b), "re")
+        signs = exact.rot_signs(F(rot))
+        got = signs.xy_sign(a, b)
+        assert got == signs.xy_sign(F(a, 3), F(b, 3))
+        return got
 
     def no_intervals(interval, what):
         raise AssertionError(f"{what} reached the interval loop")
@@ -319,7 +333,8 @@ def same_key_pairs(seed: int, count: int):
 
 class TestSameKeyRule:
     """Two single atoms of one (rot, scale) key: the factored engine's
-    ``gauss_in_h`` and ``gauss_cmp_phase`` decide on the Gaussians alone.
+    ``rot_signs(rot).in_h`` and ``gauss_cmp_phase`` decide on the Gaussians
+    alone.
     Checked against a 200-digit mpmath phase and against ``cmp_phase``."""
 
     PAIRS = same_key_pairs(seed=17, count=300)
@@ -337,9 +352,10 @@ class TestSameKeyRule:
     def test_factored_tests_match_the_values(self):
         for rot, scale, c1, c2 in self.PAIRS:
             a, b = EC([(rot, scale, c1)]), EC([(rot, scale, c2)])
-            assert exact.gauss_in_h(rot, c1) == a.in_upper_semiclosed() == (oracle_phase(a) > 0)
+            (r, _, g1), (_, _, g2) = a.atoms[0], b.atoms[0]  # the normalised key
+            assert exact.rot_signs(r).in_h(g1) == a.in_upper_semiclosed() == (oracle_phase(a) > 0)
             if a.in_upper_semiclosed() == b.in_upper_semiclosed():
-                assert exact.gauss_cmp_phase(c1, c2) == a.cmp_phase(b)
+                assert exact.gauss_cmp_phase(g1, g2) == a.cmp_phase(b)
 
     def test_other_pairs_keep_the_product_path(self):
         a = EC([(F(1, 3), F(0), gr(1, 2))])
@@ -365,8 +381,9 @@ def test_tan_bracket_is_sound():
 
 
 def test_xy_sign_on_integers_matches_atom_sign():
-    """``_xy_sign`` on an integer pair (x, y) decides as ``_atom_sign`` does on
-    x/d + (y/d)i as Fractions, and both agree with a 60-digit evaluation of
+    """``rot_signs(r).xy_sign`` on an integer pair (x, y) decides as it does
+    on x/d, y/d as Fractions and as ``re_sign`` of the atom
+    e^(-i*pi*r) * (x/d + (y/d)i), and all agree with a 60-digit evaluation of
     x*cos(pi*r) + y*sin(pi*r) (0 below 1e-40).  Every r in [0, 1/2) with denominator <= 48,
     with seeded pairs at q = |x|/|y| = 1, above and below 1, and at and just
     past both ends of the tan bracket."""
@@ -385,8 +402,9 @@ def test_xy_sign_on_integers_matches_atom_sign():
             cos, sin, tiny = mpmath.cos(t), mpmath.sin(t), mpmath.mpf(10) ** -40
             for x, y in pairs:
                 d = rng.randrange(1, 13)
-                got = exact._xy_sign(r, x, y)
-                assert got == exact._atom_sign(r, gr(F(x, d), F(y, d)), "re"), (r, x, y)
+                got = exact.rot_signs(r).xy_sign(x, y)
+                assert got == exact.rot_signs(r).xy_sign(F(x, d), F(y, d)), (r, x, y)
+                assert got == EC([(r, F(0), gr(F(x, d), F(y, d)))]).re_sign(), (r, x, y)
                 v = x * cos + y * sin
                 assert got == (0 if abs(v) < tiny else mpmath.sign(v)), (r, x, y)
 

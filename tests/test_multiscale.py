@@ -557,15 +557,24 @@ class TestCharts:
 
 
 class TestTwistCoherence:
+    @staticmethod
+    def rank3():
+        return validate_msc(
+            standard_heart(3), [{1: gr(-1, 1), 2: gr(0), 3: gr(0)}, {2: gr(0, 1), 3: gr(-1, 2)}]
+        )
+
+    def test_underflowing_witness_is_an_msc_error(self):
+        m = self.rank3()
+        p = plumb(m, [(F(1, 4), F(-300))])
+        with pytest.raises(MscError, match="passage 1"):
+            in_neighborhood(p, m, NeighborhoodSpec(delta=(0.1,), eps=1e-8))
+
     def test_plumbing_translated_by_ell(self):
         # translating tau by ell: both points lie in the neighborhood of m,
         # the quotient simple's charge is unchanged, and the lower charges
         # pick up the sign e^(-i pi ell).  The chart coordinates are not
-        # compared; they differ at tau and tau + ell (ROADMAP item 6).
-        h = standard_heart(3)
-        m = validate_msc(
-            h, [{1: gr(-1, 1), 2: gr(0), 3: gr(0)}, {2: gr(0, 1), 3: gr(-1, 2)}]
-        )
+        # compared; they differ at tau and tau + ell (ROADMAP item 8).
+        m = self.rank3()
         ell = simple_twist_data(type_rho(m)).levels[0].ell
         tau = (F(1, 7), F(-3))
         p1 = plumb(m, [tau])

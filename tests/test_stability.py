@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anstab.anquiver import QuiverError, QuiverWithPotential, mutate
-from anstab.exact import EC, GaussInt, gr
+from anstab.exact import EC, GaussianRational, gr
 from anstab.hearts import (
     Heart,
     HeartError,
@@ -179,7 +179,7 @@ class TestFactoredLevels:
         assert st.factors[0] is not None
         d = st.factors[0][2]
         assert type(d) is int and d > 0
-        assert all(isinstance(v, GaussInt) and type(v.re) is type(v.im) is int
+        assert all(isinstance(v, GaussianRational) and type(v.re) is type(v.im) is int
                    for v in st.charges[0].values())
 
 
