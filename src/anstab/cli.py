@@ -7,7 +7,10 @@ validation fails, 2 on usage errors (including malformed JSON).
 Output is versioned JSON (``"schema": 1``) except for the formats a command
 renders itself: ``exchange-graph --format dot``, ``strata --format dot`` or
 ``table``, and ``defect``, whose default is a table (``--format json`` for
-JSON).  A JSON argument is inline text, a path, or ``-`` for stdin.  Each
+JSON).  Each handler returns its JSON payload or the lines it renders, and
+``main`` alone prints: it puts ``"schema"`` first in a payload, and writes
+lines one at a time, so a reader that closes the pipe stops a long output.
+A JSON argument is inline text, a path, or ``-`` for stdin.  Each
 JSON output is accepted by every command that reads its kind, as the bare
 object or inside its envelope: a heart (``tilt``'s ``heart``) by
 ``--heart``; a stability condition (``c-act``'s ``result``) by ``c-act``; a
@@ -47,8 +50,8 @@ class UsageError(AnstabError):
 
 
 _TERM = re.compile(
-    r"^(?P<sign>[+-]?)(?P<num>\d+)?(?:/(?P<den>\d+))?(?P<i>i)?(?P<t>t)?(?:\^(?P<pow>-?\d+))?"
-    r"(?:/(?P<den2>\d+))?$"
+    r"^(?P<sign>[+-]?)(?P<num>\d+)?(?:/(?P<den>\d+))?(?P<i>i)?"
+    r"(?:(?P<t>t)(?:\^(?P<pow>-?\d+))?)?(?:/(?P<den2>\d+))?$"
 )
 
 
@@ -71,7 +74,8 @@ def parse_laurent(expr: str) -> Laurent:
     coeffs: dict[int, list[Fraction]] = {}
     for term in _split_terms(expr):
         m = _TERM.match(term)
-        if not m or (m.group("num") is None and m.group("i") is None and m.group("t") is None):
+        if (not m or (m.group("num") is None and m.group("i") is None and m.group("t") is None)
+                or (m.group("den") and m.group("den2"))):
             raise UsageError(f"cannot parse term {term!r}")
         num = Fraction(int(m.group("num") or 1))
         den = m.group("den") or m.group("den2")
@@ -81,9 +85,7 @@ def parse_laurent(expr: str) -> Laurent:
             num /= int(den)
         if m.group("sign") == "-":
             num = -num
-        power = int(m.group("pow") or (1 if m.group("t") else 0))
-        if not m.group("t"):
-            power = 0
+        power = int(m.group("pow") or 1) if m.group("t") else 0
         re_im = coeffs.setdefault(power, [Fraction(0), Fraction(0)])
         if m.group("i"):
             re_im[1] += num
@@ -115,39 +117,29 @@ def parse_braid_word(expr: str) -> K.BraidWord:
     token = r"\(|\)|\^-?\d+|-?\d+"
     if not re.fullmatch(rf"(?:\s*(?:{token}))*\s*", expr):
         raise UsageError(f"cannot parse braid word {expr!r}")
-    tokens = re.findall(token, expr)
-    def parse_seq(pos: int, stop_at_close: bool):
-        letters: list[tuple[int, int]] = []
-        while pos < len(tokens):
-            tok = tokens[pos]
-            if tok == ")":
-                if not stop_at_close:
-                    raise UsageError("unbalanced ')'")
-                return letters, pos
-            if tok == "(":
-                inner, pos = parse_seq(pos + 1, True)
-                pos += 1
-                power = 1
-                if pos < len(tokens) and tokens[pos].startswith("^"):
-                    power = int(tokens[pos][1:])
-                    pos += 1
-                letters.extend(K.BraidWord(tuple(inner)).__pow__(power).letters)
-                continue
-            if tok.startswith("^"):
+    # The open groups, innermost last, each a list of words; ``base`` says
+    # whether the innermost group's last word may still take an exponent.
+    groups: list[list[K.BraidWord]] = [[]]
+    base = False
+    for tok in re.findall(token, expr):
+        if tok == "(":
+            groups.append([])
+        elif tok == ")":
+            if len(groups) == 1:
+                raise UsageError("unbalanced ')'")
+            inner = groups.pop()
+            groups[-1].append(K.BraidWord(tuple(x for w in inner for x in w.letters)))
+        elif tok[0] == "^":
+            if not base:
                 raise UsageError("exponent without a base")
+            groups[-1][-1] **= int(tok[1:])
+        else:
             gen = int(tok)
-            power = 1
-            if pos + 1 < len(tokens) and tokens[pos + 1].startswith("^"):
-                power = int(tokens[pos + 1][1:])
-                pos += 1
-            letters.extend(K.BraidWord(((abs(gen), 1 if gen > 0 else -1),)).__pow__(power).letters)
-            pos += 1
-        if stop_at_close:
-            raise UsageError("unbalanced '('")
-        return letters, pos
-
-    letters, _ = parse_seq(0, False)
-    return K.BraidWord.build(letters)
+            groups[-1].append(K.BraidWord(((abs(gen), 1 if gen > 0 else -1),)))
+        base = tok[0] not in "(^"
+    if len(groups) > 1:
+        raise UsageError("unbalanced '('")
+    return K.BraidWord.build(x for w in groups[0] for x in w.letters)
 
 
 def _unique_keys(pairs):
@@ -193,15 +185,11 @@ def _read_heart(arg: str) -> H.Heart:
     return _read(arg, H.Heart.from_json, "heart")
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, default=str))
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
-def _cmd_tilt(args) -> int:
+def _cmd_tilt(args) -> dict:
     heart = _read_heart(args.heart)
     word = []
     for step in args.word.split(","):
@@ -210,45 +198,36 @@ def _cmd_tilt(args) -> int:
             continue
         direction = -1 if step.startswith("-") else 1
         word.append((int(step.lstrip("+-")), direction))
-    result = H.apply_tilt_word(heart, word)
-    _emit({"schema": SCHEMA, "heart": result.to_json()})
-    return 0
+    return {"heart": H.apply_tilt_word(heart, word).to_json()}
 
 
-def _cmd_exchange_graph(args) -> int:
+def _cmd_exchange_graph(args):
     heart = _read_heart(args.heart)
     vertices, edges = H.exchange_graph(heart, args.radius)
     if args.format == "dot":
-        print(H.exchange_graph_dot(vertices, edges))
-        return 0
-    _emit({
-        "schema": SCHEMA,
+        return [H.exchange_graph_dot(vertices, edges)]
+    return {
         "vertex_count": len(vertices),
         "edge_count": len(edges),
         "vertices": [h.to_json() for h in vertices.values()],
-    })
-    return 0
+    }
 
 
-def _cmd_c_act(args) -> int:
+def _cmd_c_act(args) -> dict:
     sigma = _read(args.input, StabilityCondition.from_json, "result")
-    result = c_act(sigma, parse_rational_complex(args.lam))
-    _emit({"schema": SCHEMA, "result": result.to_json()})
-    return 0
+    return {"result": c_act(sigma, parse_rational_complex(args.lam)).to_json()}
 
 
-def _cmd_msc_validate(args) -> int:
+def _cmd_msc_validate(args) -> dict:
     m = _read(args.input, MS.MultiScaleStab.from_json, "result")
-    _emit({
-        "schema": SCHEMA,
+    return {
         "valid": True,
         "levels_below_zero": m.L,
         "rho": [list(r) for r in MS.type_rho(m)],
-    })
-    return 0
+    }
 
 
-def _cmd_plumb(args) -> int:
+def _cmd_plumb(args) -> dict:
     m = _read(args.input, MS.MultiScaleStab.from_json, "result")
     taus = []
     for part in args.tau.split(";"):
@@ -257,12 +236,10 @@ def _cmd_plumb(args) -> int:
             taus.append(MS.INFTY)
         else:
             taus.append(parse_rational_complex(part))
-    result = MS.plumb(m, taus)
-    _emit({"schema": SCHEMA, "result": result.to_json()})
-    return 0
+    return {"result": MS.plumb(m, taus).to_json()}
 
 
-def _cmd_defect(args) -> int:
+def _cmd_defect(args):
     m = _read(args.input, MS.MultiScaleStab.from_json, "result")
     rows = []
     for lam_expr in args.lam.split(";"):
@@ -280,18 +257,15 @@ def _cmd_defect(args) -> int:
                 }
             )
     if args.format == "table":
-        print("lam\ttau\tmax_defect\tbound\twithin")
-        for row in rows:
-            print(
-                f"{row['lam']}\t{row['tau']}\t{row['max_defect']:.17g}"
-                f"\t{row['bound']:.17g}\t{row['within_bound']}"
-            )
-        return 0
-    _emit({"schema": SCHEMA, "rows": rows})
-    return 0
+        return ["lam\ttau\tmax_defect\tbound\twithin"] + [
+            f"{row['lam']}\t{row['tau']}\t{row['max_defect']:.17g}"
+            f"\t{row['bound']:.17g}\t{row['within_bound']}"
+            for row in rows
+        ]
+    return {"rows": rows}
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args) -> dict:
     heart = _read_heart(args.heart)
     fam = args.family
     if fam == "-" or os.path.exists(fam) or fam.strip().startswith("{"):
@@ -310,15 +284,10 @@ def _cmd_limit(args) -> int:
             raise UsageError("family arity does not match the heart rank")
         zc = LIM.LaurentCharge.build(dict(zip(heart.labels, polys)))
     m, rot = LIM.extract_limit(heart, zc)
-    _emit({
-        "schema": SCHEMA,
-        "rotation": [rot.numerator, rot.denominator],
-        "result": m.to_json(),
-    })
-    return 0
+    return {"rotation": [rot.numerator, rot.denominator], "result": m.to_json()}
 
 
-def _cmd_strata(args) -> int:
+def _cmd_strata(args):
     for flag, value in (("--n", args.n), ("--levels", args.levels)):
         if value < 1:
             raise UsageError(f"{flag} must be at least 1, not {value}")
@@ -329,8 +298,7 @@ def _cmd_strata(args) -> int:
             rep for _, _, rep in ST.census_types(args.n, args.levels)]
         keyed, rel = ST.adjacency_poset(graphs, labeled=args.labeled)
         names = {k: f"type{idx}" for idx, k in enumerate(sorted(keyed, key=repr))}
-        payload = {
-            "schema": SCHEMA,
+        return {
             "strata": {
                 names[k]: {
                     "depth": keyed[k].depth,
@@ -339,48 +307,37 @@ def _cmd_strata(args) -> int:
                 for k in keyed
             },
         }
-        _emit(payload)
-        return 0
     if args.format == "dot":
-        for g in ST.enumerate_graphs(args.n, args.levels):
-            print(g.to_dot())
-        return 0
+        return (g.to_dot() for g in ST.enumerate_graphs(args.n, args.levels))
     payload = ST.census(args.n, args.levels)
     if not args.labeled:
         for entry in payload["types"]:
             entry.pop("representative", None)
     if args.format == "table":
-        print("depth\tlabeled\tenhancements\tprongs")
-        for entry in payload["types"]:
-            print(
-                f"{entry['depth']}\t{entry['labeled_count']}\t"
-                f"{entry['enhancements']}\t{entry['prongs']}"
-            )
-        return 0
-    _emit(payload)
-    return 0
+        return ["depth\tlabeled\tenhancements\tprongs"] + [
+            f"{entry['depth']}\t{entry['labeled_count']}\t"
+            f"{entry['enhancements']}\t{entry['prongs']}"
+            for entry in payload["types"]
+        ]
+    return payload
 
 
-def _cmd_braid(args) -> int:
+def _cmd_braid(args) -> dict:
     q = make_linear(args.n)
     word = parse_braid_word(args.word)
     mat = K.word_matrix(q, word)
-    _emit({
-        "schema": SCHEMA,
+    return {
         "word": word.to_json(),
         "matrix": [list(r) for r in mat.rows],
         "matrix_row_major": mat.to_json(),
-    })
-    return 0
+    }
 
 
-def _cmd_twist_data(args) -> int:
+def _cmd_twist_data(args) -> dict:
     rho = _load_json_arg(args.rho)
     if not (isinstance(rho, list) and rho and all(isinstance(r, list) for r in rho)):
         raise UsageError(f"--rho must be a non-empty JSON list of lists, not {args.rho!r}")
-    data = K.simple_twist_data(rho)
-    _emit({"schema": SCHEMA, "rho": rho, "levels": data.to_json()})
-    return 0
+    return {"rho": rho, "levels": K.simple_twist_data(rho).to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +441,13 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        out = args.func(args)
+        if isinstance(out, dict):
+            print(json.dumps({"schema": SCHEMA, **out}, indent=2, default=str))
+        else:
+            for line in out:
+                print(line)
+        return 0
     except BrokenPipeError:  # the reader closed the pipe: exit quietly
         sys.stdout = open(os.devnull, "w")
         return 0

@@ -256,7 +256,6 @@ def _certified_sign(interval, what: str) -> int:
     raise PrecisionError(f"{what} not certified at {_IV_MAX_PREC} bits")
 
 
-@functools.lru_cache(maxsize=512)
 def _tan_bracket(rot: Fraction):
     """(lo, hi) with lo <= tan(pi*rot) <= hi, read exactly off the raw (sign,
     mantissa, exponent) ends of one 64-bit enclosure; None if one is infinite."""

@@ -2,16 +2,19 @@ import io
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from anstab.cli import main, parse_braid_word, parse_family, parse_laurent, parse_rational_complex
+from anstab.cli import (
+    UsageError, main, parse_braid_word, parse_family, parse_laurent, parse_rational_complex,
+)
 from anstab.exact import EC, gr
 from anstab.hearts import apply_tilt_word, canonical_form, standard_heart
 from anstab.limits import LaurentCharge, extract_limit
-from anstab.multiscale import plumb, type_rho
+from anstab.multiscale import MultiScaleStab, commutation_defect, plumb, type_rho
 from anstab.stability import StabilityCondition, c_act
 
 A2_HEART = {
@@ -132,6 +135,40 @@ class TestParsers:
         assert w2.letters == ((1, 1), (2, -1))
         w3 = parse_braid_word("[[1, 1], [2, -1]]")
         assert w3.letters == ((1, 1), (2, -1))
+
+    @pytest.mark.parametrize("expr", ["2^3", "i^2", "3/4/5", "1/2i/3"])
+    def test_laurent_rejects_what_it_cannot_read(self, expr):
+        # ^k follows only t, and a term has at most one denominator
+        with pytest.raises(UsageError, match=rf"^cannot parse term '{re.escape(expr)}'$"):
+            parse_laurent(expr)
+
+    @pytest.mark.parametrize(
+        "expr, letters",
+        [
+            ("()^2", ()),
+            ("((1)^2)^-1", ((1, -1), (1, -1))),
+            ("-2^-1", ((2, 1),)),
+            ("0", ((0, -1),)),
+            ("1 (2 -3)^2 4^-2", ((1, 1), (2, 1), (3, -1), (2, 1), (3, -1), (4, -1), (4, -1))),
+        ],
+    )
+    def test_braid_exponent_raises_the_last_item(self, expr, letters):
+        assert parse_braid_word(expr).letters == letters
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("1^2^3", "exponent without a base"),
+            ("(1)^2^3", "exponent without a base"),
+            ("(^2)", "exponent without a base"),
+            ("^2 1", "exponent without a base"),
+            ("(1 2", "unbalanced '('"),
+            ("1)", "unbalanced ')'"),
+        ],
+    )
+    def test_braid_errors(self, expr, message):
+        with pytest.raises(UsageError, match=re.escape(message)):
+            parse_braid_word(expr)
 
 
 class TestCommands:
@@ -313,6 +350,22 @@ class TestCommands:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert all(line.endswith("True") for line in lines[1:])
+
+    def test_defect_json_rows_are_the_defect_fields(self, capsys):
+        msc = a2_msc_deep([-1, 1, 0, 1])
+        code, out, err = run(capsys, "defect", msc, "--lam", "1/4;i/2",
+                             "--tau", "1/4-3i;1/2-1/2i", "--format", "json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["schema"] == 1
+        m = MultiScaleStab.from_json(json.loads(msc))
+        expected = []
+        for lam in ("1/4", "i/2"):
+            for tau in ("1/4-3i", "1/2-1/2i"):
+                r = commutation_defect(m, parse_rational_complex(lam), parse_rational_complex(tau))
+                expected.append({"lam": lam, "tau": tau, "max_defect": r.max_simple_defect,
+                                 "bound": r.bound, "within_bound": r.within_bound})
+        assert data["rows"] == expected
 
 
 class TestPipelines:
@@ -556,6 +609,11 @@ class TestExitCodes:
              "--lam", "0"],
             ["msc-validate",
              a2_msc([-1, 1, 1, 1]).replace('"simples": [1, 2]', '"simples": [7, 8, 9]')],
+            # ^k follows only t, and a term has at most one denominator
+            ["c-act", a2_sigma([-1, 1, 1, 1]), "--lam", "2^3"],
+            ["c-act", a2_sigma([-1, 1, 1, 1]), "--lam", "i^2"],
+            ["c-act", a2_sigma([-1, 1, 1, 1]), "--lam", "3/4/5"],
+            ["c-act", a2_sigma([-1, 1, 1, 1]), "--lam", "1/2i/3"],
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv):
@@ -599,6 +657,30 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"usage error: {where}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "n, arrows, cycles, where",
+        [
+            (2, [[1, 1]], [], "loop at vertex 1"),
+            (2, [[1, 3]], [], "arrow (1,3) leaves the vertex set"),
+            (2, [[1, 2], [1, 2]], [], "parallel arrows (1,2)"),
+            (2, [[1, 2]], [[[1, 2]]], "potential terms must be 3-cycles"),
+            (3, [[1, 2], [2, 3]], [[[1, 2], [2, 3], [3, 1]]],
+             "cycle arrow (3, 1) not in the quiver"),
+            (3, [[1, 2], [2, 3], [1, 3]], [[[1, 2], [2, 3], [1, 3]]],
+             "cycle ((1, 2), (2, 3), (1, 3)) does not close up"),
+            (4, [[1, 2], [2, 3], [3, 1], [3, 4], [4, 2]],
+             [[[1, 2], [2, 3], [3, 1]], [[2, 3], [3, 4], [4, 2]]],
+             "arrow (2, 3) lies in two potential cycles"),
+        ],
+    )
+    def test_quiver_errors_say_where(self, capsys, n, arrows, cycles, where):
+        """Heart JSON whose ext-quiver breaks a quiver rule exits 2 with one
+        line naming the rule."""
+        heart = standard_heart(n).to_json()
+        heart["extquiver"].update(arrows=arrows, cycles=cycles)
+        code, _, err = run(capsys, "tilt", "--heart", json.dumps(heart), "--word", "1")
+        assert (code, err) == (2, f"usage error: {where}\n")
 
     def test_float_charge_takes_any_integer(self, capsys):
         # an integer beyond the float range is finite and read exactly

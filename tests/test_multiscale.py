@@ -501,6 +501,18 @@ class TestNeighborhoods:
         v = in_neighborhood(cand, m, NeighborhoodSpec(delta=(1e-4,), eps=1e-9))
         assert not v.accepted
 
+    def test_eps_bounds_the_quotient_charge_distance(self):
+        m = a2_limit_datum()
+        p = plumb(m, [(0, -2)])
+        charge = dict(p.charge(0))
+        charge[2] = charge[2] + EC.rational(F(1, 1000))
+        cand = validate_msc(p.top, [charge])
+        v = in_neighborhood(cand, m, NeighborhoodSpec(delta=(0.5,), eps=1e-8))
+        assert not v.accepted and "exceeds epsilon" in v.reason
+        ((interval, dist),) = v.distances
+        assert interval == (0, 1) and dist == pytest.approx(1e-3)
+        assert in_neighborhood(cand, m, NeighborhoodSpec(delta=(0.5,), eps=1e-2)).accepted
+
 
 class TestCharts:
     def test_base_point(self):
