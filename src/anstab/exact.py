@@ -32,10 +32,12 @@ adds to ``scale``).  Crucially, sign tests are decidable:
   int parts on a factored level.  ``factor`` writes a level of single atoms
   of one (rot, scale) key as that key, a common denominator and Gaussians
   with int parts, and ``expand`` reads it back; no other module reads atoms;
-* nonzero quantities are separated from 0 by escalating-precision interval
-  arithmetic (mpmath.iv); past a 16,384-bit cap it raises ``PrecisionError``.
-  The enclosures of cos, sin, tan(pi*r) and e^(pi*s) sit in a bounded cache
-  keyed by (r, precision);
+* a certified double filter decides each sign first: ``_filter`` gives Re
+  and Im in doubles with a rigorous bound (64-bit enclosures of cos,
+  sin(pi*rot) and e^(pi*scale), plus rounding), and ``cross_signs`` reads
+  Im(conj(a)*b) off two of them.  The symbolic rules above and escalating-
+  precision interval arithmetic (mpmath.iv) decide only what it leaves
+  open; past a 16,384-bit cap the intervals raise ``PrecisionError``;
 * each value decides its Re and Im signs at most once and keeps them; a
   ``PrecisionError`` is raised again on every call, never cached.
 
@@ -49,7 +51,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm
+from math import inf, isfinite, lcm, nextafter
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -256,16 +258,33 @@ def _certified_sign(interval, what: str) -> int:
     raise PrecisionError(f"{what} not certified at {_IV_MAX_PREC} bits")
 
 
-def _tan_bracket(rot: Fraction):
-    """(lo, hi) with lo <= tan(pi*rot) <= hi, read exactly off the raw (sign,
+def _iv_ends(f, r: Fraction):
+    """(lo, hi) with lo <= f(pi*r) <= hi, read exactly off the raw (sign,
     mantissa, exponent) ends of one 64-bit enclosure; None if one is infinite."""
     old, iv.prec = iv.prec, _IV_START_PREC
     try:
-        ends = iv.tan(iv.pi * _iv_frac(rot))._mpi_
+        ends = f(iv.pi * _iv_frac(r))._mpi_
     finally:
         iv.prec = old
     if all(man or not exp for _, man, exp, _ in ends):
         return tuple((-1) ** sign * int(man) * Fraction(2) ** exp for sign, man, exp, _ in ends)
+
+
+_tan_bracket = functools.partial(_iv_ends, iv.tan)
+
+
+def _enclose(f, r: Fraction) -> tuple[float, float]:
+    """(mid, rad) with |f(pi*r) - mid| <= rad: the double nearest the middle
+    of ``_iv_ends(f, r)`` and the distance to its far end, rounded up."""
+    lo, hi = _iv_ends(f, r)
+    try:
+        mid = float((lo + hi) / 2)
+        return mid, nextafter(float(max(hi - Fraction(mid), Fraction(mid) - lo)), inf)
+    except OverflowError:
+        return inf, inf
+
+
+_exp_pi = functools.lru_cache(maxsize=512)(functools.partial(_enclose, iv.exp))
 
 
 def _normalize_atom(rot: Fraction, scale: Fraction, c: GaussianRational):
@@ -284,13 +303,15 @@ def _xy(c: GaussianRational, part: str) -> tuple[Fraction, Fraction]:
 class RotSigns:
     """The rot-dependent constants of the sign ladder for one rot in
     [0, 1/2), computed once per rot by ``rot_signs``: ``side`` is
-    sign(1/4 - rot) (None at rot = 0) and ``bracket`` the ``_tan_bracket``
-    ends as integers (lo_num, lo_den, hi_num, hi_den), None where unused."""
+    sign(1/4 - rot) (None at rot = 0), ``bracket`` the ``_tan_bracket`` ends
+    as integers (lo_num, lo_den, hi_num, hi_den) or None, ``cos_sin`` the
+    ``_enclose`` pairs of cos and sin(pi*rot)."""
 
-    __slots__ = ("rot", "side", "bracket")
+    __slots__ = ("rot", "side", "bracket", "cos_sin")
 
     def __init__(self, rot: Fraction):
         self.rot = rot
+        self.cos_sin = (*_enclose(iv.cos, rot), *_enclose(iv.sin, rot))
         self.side = None if rot == 0 else (rot < _QUARTER) - (rot > _QUARTER)
         bracket = _tan_bracket(rot) if self.side else None
         self.bracket = bracket and tuple(x for end in bracket
@@ -357,12 +378,12 @@ class ExactComplex:
     algebraic number); a cancellation among three or more same-scale atoms
     is not yet detected.
 
-    ``im_sign`` and ``re_sign`` decide at most once per value, reading the
-    bounded per-precision interval cache; a ``PrecisionError`` is never
-    cached.  Equality and hashing read ``atoms`` only.
+    ``im_sign`` and ``re_sign`` decide at most once per value: the double
+    filter first, then the symbolic ladder and intervals; a
+    ``PrecisionError`` is never cached.  Equality and hashing read ``atoms``.
     """
 
-    __slots__ = ("atoms", "_re", "_im")
+    __slots__ = ("atoms", "_re", "_im", "_approx")
 
     def __init__(self, atoms: Iterable[tuple[Fraction, Fraction, GaussianRational]] = ()):
         self._set(filter(None, itertools.starmap(_normalize_atom, atoms)))
@@ -375,7 +396,7 @@ class ExactComplex:
                 c += merged.pop()[2]
             merged.append((rot, scale, c))
         self.atoms = tuple(a for a in merged if not a[2].is_zero())
-        self._re = self._im = None
+        self._re = self._im = self._approx = None
 
     @classmethod
     def _normal(cls, atoms) -> "ExactComplex":
@@ -417,6 +438,7 @@ class ExactComplex:
     def __neg__(self) -> "ExactComplex":
         v = ExactComplex._normal((r, s, -c) for r, s, c in self.atoms)
         v._re, v._im = (None if x is None else -x for x in (self._re, self._im))
+        v._approx = (f := self._approx) and (-f[0], -f[1], *f[2:])
         return v
 
     def __mul__(self, other):
@@ -440,6 +462,16 @@ class ExactComplex:
     def conj(self) -> "ExactComplex":
         return ExactComplex([(-r, s, c.conj()) for r, s, c in self.atoms])
 
+    def rotated(self, rot: Fraction, scale: Fraction = Fraction(0)) -> "ExactComplex":
+        """``self * EC.unit(rot, scale)``.  Every key moves alike, so no two
+        atoms merge: they are only sorted, and quarter turns fold into c."""
+        moved = ((divmod(r + rot, _HALF), s + scale, c) for r, s, c in self.atoms)
+        v = object.__new__(ExactComplex)
+        v.atoms = tuple(sorted(((r, s, c.times_minus_i(q)) for (q, r), s, c in moved),
+                               key=itemgetter(0, 1)))
+        v._re = v._im = v._approx = None
+        return v
+
     # -- predicates
 
     def is_zero(self) -> bool:
@@ -451,9 +483,39 @@ class ExactComplex:
     def __hash__(self) -> int:
         return hash(self.atoms)
 
+    def _filter(self):
+        """(re, im, re_err, im_err), kept: doubles with |Re - re| <= re_err and
+        |Im - im| <= im_err, or False when a part leaves the double range.  The
+        bound adds to the enclosure radii's share 2u (u = 2^-53, doubled to
+        cover rounding the bound) times the magnitudes for each of the n + 4
+        roundings on the longest chain (four per atom, the n-term sum), and
+        a term for underflow."""
+        if self._approx is not None:
+            return self._approx
+        val, mag, rad = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
+        try:
+            for r, s, c in self.atoms:
+                cm, cr, sm, sr = rot_signs(r).cos_sin
+                em, er = _exp_pi(s)
+                a, b = float(c.re), float(c.im)
+                for k, x, y in ((0, a, b), (1, b, -a)):  # as in ``_xy``
+                    val[k] += em * (x * cm + y * sm)
+                    m = abs(x * cm) + abs(y * sm)
+                    mag[k] += em * m
+                    rad[k] += er * m + (er + em) * (abs(x) * cr + abs(y) * sr) + (1 + em) * 2**-1070
+        except OverflowError:
+            mag = [inf, inf]  # no verdict
+        g = (len(self.atoms) + 4) * 2**-52
+        err = [e + g * (e + m) for e, m in zip(rad, mag)]
+        self._approx = isfinite(err[0] + err[1]) and (*val, *err)
+        return self._approx
+
     def _part_sign(self, part: str) -> int:
-        """Exact sign of Re or Im: the atoms' common sign when each scale holds
-        one atom and the nonzero atom signs agree, else certified by intervals."""
+        """Exact sign of Re or Im: the filter's, else the atoms' common sign when
+        each scale holds one atom and their nonzero signs agree, else intervals'."""
+        f, k = self._filter(), part == "im"
+        if f and abs(f[k]) > f[k + 2]:
+            return 1 if f[k] > 0 else -1
         if len({s for _, s, _ in self.atoms}) == len(self.atoms):
             signs = {rot_signs(r).xy_sign(*_xy(c, part)) for r, _, c in self.atoms} - {0}
             if len(signs) <= 1:
@@ -481,14 +543,8 @@ class ExactComplex:
 
     def in_upper_semiclosed(self) -> bool:
         """Membership in {m e^(i pi phi): m > 0, 0 < phi <= 1}."""
-        if self.is_zero():
-            return False
         s = self.im_sign()
-        if s > 0:
-            return True
-        if s < 0:
-            return False
-        return self.re_sign() < 0
+        return s > 0 or s == 0 and self.re_sign() < 0
 
     def cmp_phase(self, other: "ExactComplex") -> int:
         """Compare phase representatives in (-1, 1]. Both values nonzero."""
@@ -497,20 +553,27 @@ class ExactComplex:
         b1, b2 = self.in_upper_semiclosed(), other.in_upper_semiclosed()
         if b1 != b2:
             return 1 if b1 else -1
-        cross = self.conj() * other
-        s = cross.im_sign()
-        if s > 0:
-            return -1
-        if s < 0:
-            return 1
-        if cross.re_sign() > 0:
-            return 0
+        im, re = self.cross_signs(other)
+        if im or re > 0:
+            return -im
         # antipodal within one bucket cannot happen: buckets are half-turns
         raise PrecisionError("phase comparison hit an antipodal pair")
 
-    def cmp_abs(self, other: "ExactComplex") -> int:
-        d = self * self.conj() - other * other.conj()
-        return d.re_sign()
+    def cross_signs(self, other: "ExactComplex") -> tuple[int, int]:
+        """Signs of Im(conj(self)*other) and, where that is 0, of its Re (else
+        0).  The filters decide Im = Re a Im b - Im a Re b where they can; the
+        product is built only where they cannot, as at exact ties."""
+        fa, fb = self._filter(), other._filter()
+        if fa and fb:
+            (ar, ai, er_a, ei_a), (br, bi, er_b, ei_b) = fa, fb
+            x = ar * bi - ai * br
+            err = (abs(ar) * ei_b + (abs(bi) + ei_b) * er_a + abs(ai) * er_b + (abs(br) + er_b) * ei_a
+                   + 2**-51 * (abs(ar * bi) + abs(ai * br))) * (1 + 2**-48) + 2**-1069
+            if abs(x) > err:
+                return (1 if x > 0 else -1), 0
+        p = self.conj() * other
+        s = p.im_sign()
+        return s, 0 if s else p.re_sign()
 
     # -- numeric views
 
@@ -530,17 +593,10 @@ class ExactComplex:
             total = mpmath.mpc(0)
             for r, s, c in self.atoms:
                 total += (
-                    mpmath.e ** (mpmath.pi * (mpmath.mpf(s.numerator) / s.denominator))
-                    * mpmath.e
-                    ** (
-                        -1j
-                        * mpmath.pi
-                        * (mpmath.mpf(r.numerator) / r.denominator)
-                    )
-                    * mpmath.mpc(
-                        mpmath.mpf(c.re.numerator) / c.re.denominator,
-                        mpmath.mpf(c.im.numerator) / c.im.denominator,
-                    )
+                    mpmath.exp(mpmath.pi * (mpmath.mpf(s.numerator) / s.denominator))
+                    * mpmath.expjpi(-mpmath.mpf(r.numerator) / r.denominator)
+                    * mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
+                                 mpmath.mpf(c.im.numerator) / c.im.denominator)
                 )
             return total
 
@@ -708,6 +764,10 @@ class Laurent:
         return Laurent({k: c * other for k, c in self.coeffs.items()})
 
     __rmul__ = __mul__
+
+    def rotated(self, rot: Fraction, scale: Fraction = Fraction(0)) -> "Laurent":
+        """``self * EC.unit(rot, scale)``, coefficientwise."""
+        return Laurent({k: c.rotated(rot, scale) for k, c in self.coeffs.items()})
 
     def in_upper_semiclosed(self) -> bool:
         """Whether f(t) lies in H for all small t > 0: the sign of the lowest

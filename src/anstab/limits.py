@@ -177,7 +177,7 @@ def extract_limit(heart: Heart, zc: LaurentCharge):
             (
                 lam
                 for lam in ROTATION_SCHEDULE
-                if not any(_on_positive_reals(c * EC.unit(lam)) for c in leads)
+                if not any(_on_positive_reals(c.rotated(lam)) for c in leads)
             ),
             None,
         )

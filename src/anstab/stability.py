@@ -215,8 +215,8 @@ class TiltState:
     Values are ``ExactComplex`` charges or, for degeneration limits,
     ``exact.Laurent`` families with ExactComplex coefficients; the engine
     needs ``+``, unary ``-``, ``is_zero``, ``in_upper_semiclosed``,
-    ``cmp_phase`` and ``value * x`` for an ExactComplex x (rotations,
-    ``act_from``).  A level that ``exact.factor`` accepts is kept factored:
+    ``cmp_phase`` and ``rotated`` (rotations, ``act_from``).  A level that
+    ``exact.factor`` accepts is kept factored:
     ``factors[i]`` is its key (rot, scale, D) and its values are
     ``exact.GaussianRational`` with int parts.  A rotation moves the key and
     turns each value, a tilt is integer addition, the half-plane test is
@@ -292,8 +292,7 @@ class TiltState:
                 self.factors[i] = (r, s + scale, d)
                 self.charges[i] = {l: v.times_minus_i(turns) for l, v in self.charges[i].items()}
             else:
-                unit = EC.unit(rot, scale)
-                self.charges[i] = {l: v * unit for l, v in self.charges[i].items()}
+                self.charges[i] = {l: v.rotated(rot, scale) for l, v in self.charges[i].items()}
 
     def level(self, i: int) -> dict:
         """The values of level i, as ExactComplex on a factored level."""

@@ -186,13 +186,6 @@ class TestExactComplex:
         assert a.cmp_phase(ec(-2, 2)) == 0
         assert ec(1).cmp_phase(ec(0, 1)) == -1  # phase 0 sorts below phase 1/2
 
-    def test_abs_cmp(self):
-        assert ec(3).cmp_abs(ec(2, 2)) == 1
-        assert ec(1, 1).cmp_abs(ec(-1, 1)) == 0
-        big = EC.unit(0, 1) * ec(1)
-        assert big.cmp_abs(ec(20)) == 1  # e^{pi} > 20? no: e^pi ~ 23.1
-        assert big.cmp_abs(ec(24)) == -1
-
     @given(
         st.lists(
             st.tuples(small_rationals, small_rationals, rationals, rationals),
