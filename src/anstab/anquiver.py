@@ -25,7 +25,7 @@ class QuiverError(AnstabError):
 
 
 class StringCapExceeded(QuiverError):
-    """The string enumeration exceeded its cap; the input is not A_n-type."""
+    """A string walk met a vertex twice, which no A_n-type quiver allows."""
 
 
 Arrow = tuple[int, int]
@@ -67,7 +67,7 @@ class QuiverWithPotential:
                 raise QuiverError(f"parallel arrows ({a},{b})")
             seen.add((a, b))
         object.__setattr__(self, "_arrow_set", frozenset(seen))
-        used: set[Arrow] = set()
+        used: dict[Arrow, Cycle] = {}
         for cyc in self.cycles:
             if len(cyc) != 3:
                 raise QuiverError("potential terms must be 3-cycles")
@@ -78,7 +78,8 @@ class QuiverWithPotential:
                     raise QuiverError(f"cycle {cyc} does not close up")
                 if cyc[i] in used:
                     raise QuiverError(f"arrow {cyc[i]} lies in two potential cycles")
-                used.add(cyc[i])
+                used[cyc[i]] = cyc
+        object.__setattr__(self, "_cycle", used)
 
     # -- constructors
 
@@ -121,10 +122,7 @@ class QuiverWithPotential:
         return sorted(comps, key=min)
 
     def cycle_of(self, arrow: Arrow) -> Cycle | None:
-        for cyc in self.cycles:
-            if arrow in cyc:
-                return cyc
-        return None
+        return self._cycle.get(arrow)
 
     # -- serialization
 
@@ -168,7 +166,7 @@ class MutableQuiver:
     def __init__(self, q: QuiverWithPotential):
         self.vertices = q.vertices
         self.arrows = set(q._arrow_set)
-        self.cycle = {a: cyc for cyc in q.cycles for a in cyc}
+        self.cycle = dict(q._cycle)
 
     def neighbours(self, k: int, direction: int) -> list[int]:
         """The vertices t with an arrow t -> k (direction > 0) or k -> t."""
@@ -253,114 +251,38 @@ def euler_pairing(q: QuiverWithPotential, a: Sequence[int], b: Sequence[int]) ->
 
 
 # ---------------------------------------------------------------------------
-# String objects
+# Strings
 
 
-@dataclass(frozen=True)
-class StringObject:
-    """A string: reduced relation-avoiding walk in the quiver.
+def enumerate_strings(q: QuiverWithPotential) -> list[tuple[int, ...]]:
+    """Dimension vectors of all strings of the Jacobian algebra, trivial
+    ones included, as sorted 0/1 tuples in ``q.vertices`` order.
 
-    ``steps`` is a tuple of (arrow, direction); direction +1 traverses the
-    arrow, -1 traverses its formal inverse.  ``source`` is the start vertex;
-    a trivial string has no steps.
+    A depth-first search extends walks at one end from every vertex, never
+    backtracking and never taking two arrows of one potential 3-cycle in a
+    row in the same direction.  In A_n type no walk meets a vertex twice, so
+    none runs past n - 1 steps, and the walk between two vertices is unique,
+    so a string is its support.  A walk that does meet a vertex twice raises
+    ``StringCapExceeded``.
     """
-
-    source: int
-    steps: tuple[tuple[Arrow, int], ...]
-
-    def vertex_path(self) -> list[int]:
-        path = [self.source]
-        for (a, b), d in self.steps:
-            path.append(b if d > 0 else a)
-        return path
-
-    def dimension_vector(self, vertices: Sequence[int]) -> tuple[int, ...]:
-        counts = {v: 0 for v in vertices}
-        for v in self.vertex_path():
-            counts[v] += 1
-        return tuple(counts[v] for v in vertices)
-
-
-def _forbidden_pair(q: QuiverWithPotential, x: Arrow, y: Arrow) -> bool:
-    """True when the path 'x then y' composes to zero in the Jacobian algebra."""
-    if x[1] != y[0]:
-        return True
-    cyc = q.cycle_of(x)
-    return cyc is not None and y in cyc
-
-
-def _step_ok(q: QuiverWithPotential, prev: tuple[Arrow, int], nxt: tuple[Arrow, int]) -> bool:
-    (pa, pd), (na, nd) = prev, nxt
-    if pa == na and pd == -nd:
-        return False  # immediate backtrack
-    if pd > 0 and nd > 0:
-        return not _forbidden_pair(q, pa, na)
-    if pd < 0 and nd < 0:
-        return not _forbidden_pair(q, na, pa)
-    return True
-
-
-def _walk_end(source: int, steps) -> int:
-    if not steps:
-        return source
-    (a, b), d = steps[-1]
-    return b if d > 0 else a
-
-
-def _canonical_walk(source: int, steps):
-    if not steps:
-        return (source,)
-    fwd = (source,) + steps
-    rev_steps = tuple((arr, -d) for arr, d in reversed(steps))
-    rev = (_walk_end(source, steps),) + rev_steps
-    return min(fwd, rev)
-
-
-def enumerate_strings(q: QuiverWithPotential) -> list[StringObject]:
-    """All strings of the Jacobian algebra, including the trivial ones.
-
-    The enumeration aborts once more than 10*n^2 distinct strings are found,
-    which signals a non-A_n-type input.
-    """
-    n = len(q.vertices)
-    cap = 10 * n * n
-    seen = {}
-    for v in q.vertices:
-        seen[(v,)] = StringObject(v, ())
-    frontier = []
-    for a in q.arrows:
-        for d in (1, -1):
-            src = a[0] if d > 0 else a[1]
-            walk = ((a, d),)
-            key = _canonical_walk(src, walk)
-            if key not in seen:
-                seen[key] = StringObject(src, walk)
-            frontier.append((src, walk))
-    while frontier:
-        if len(seen) > cap:
-            raise StringCapExceeded(
-                f"more than {cap} strings; the quiver is not of A_n type"
-            )
-        src, walk = frontier.pop()
-        end = _walk_end(src, walk)
-        for a in q.arrows:
-            for d in (1, -1):
-                start = a[0] if d > 0 else a[1]
-                if start != end:
-                    continue
-                if not _step_ok(q, walk[-1], (a, d)):
-                    continue
-                nwalk = walk + ((a, d),)
-                key = _canonical_walk(src, nwalk)
-                if key in seen:
-                    continue
-                seen[key] = StringObject(src, nwalk)
-                frontier.append((src, nwalk))
-    if len(seen) > cap:
-        raise StringCapExceeded(
-            f"more than {cap} strings; the quiver is not of A_n type"
-        )
-    return sorted(seen.values(), key=lambda s: (len(s.steps), s.source, s.steps))
+    adj: dict[int, list[tuple[int, Arrow, int]]] = {v: [] for v in q.vertices}
+    for a, b in q.arrows:
+        adj[a].append((b, (a, b), 1))
+        adj[b].append((a, (a, b), -1))
+    found = set()
+    stack = [(v, None, 0, (v,)) for v in q.vertices]
+    while stack:
+        end, last, last_d, walk = stack.pop()
+        found.add(frozenset(walk))
+        for w, arrow, d in adj[end]:
+            if arrow == last or (d == last_d and arrow in q._cycle.get(last, ())):
+                continue
+            if w in walk:
+                raise StringCapExceeded(
+                    f"a string walk returns to vertex {w}; the quiver is not of A_n type"
+                )
+            stack.append((w, arrow, d, walk + (w,)))
+    return sorted(tuple(int(v in s) for v in q.vertices) for s in found)
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,8 @@ def extract_limit(heart: Heart, zc: LaurentCharge):
         # leading terms of the nonzero indecomposable charges
         vs = h.ext.vertices
         totals = (
-            sum((fams[v] * m for m, v in zip(s.dimension_vector(vs), vs) if m), Laurent())
-            for s in enumerate_strings(h.ext)
+            sum((fams[v] * m for m, v in zip(dv, vs) if m), Laurent())
+            for dv in enumerate_strings(h.ext)
         )
         leads = [f.leading() for f in totals if not f.is_zero()]
         lam = next(

@@ -132,7 +132,7 @@ def _h_window_label(values: Sequence[tuple[int, ExactComplex]]) -> int | None:
             return rot_signs(0).in_h(gs[a].conj() * gs[b])
         return ch[a].cross_signs(ch[b]) in ((1, 0), (0, -1))  # Im > 0, or Im = 0 > Re
 
-    return next((a for a in ch if not any(above(a, b) for b in ch)), None)
+    return next((a for a in ch if not any(above(a, b) for b in ch if b != a)), None)
 
 
 def _check_type_constraints(top: Heart, chain: list[frozenset[int]]) -> None:

@@ -425,7 +425,8 @@ class SpectrumEntry:
 
 
 def indecomposable_spectrum(sigma: StabilityCondition) -> list[SpectrumEntry]:
-    """Charges of all strings of the heart's ext-quiver.
+    """Charges of all strings of the heart's ext-quiver, one entry per
+    dimension vector in ``enumerate_strings`` order.
 
     This is a finite superset of the stable spectrum, which is what the
     wall-avoidance and mass diagnostics need.
@@ -433,9 +434,8 @@ def indecomposable_spectrum(sigma: StabilityCondition) -> list[SpectrumEntry]:
     h = sigma.heart
     charge = sigma.charge_dict()
     entries = []
-    for s in enumerate_strings(h.ext):
-        # the dimension vector is the string's coordinates in the simple basis
-        dv = s.dimension_vector(h.ext.vertices)
+    # a dimension vector is the string's coordinates in the simple basis
+    for dv in enumerate_strings(h.ext):
         cls = tuple(
             sum(m * h.cls(v)[i] for m, v in zip(dv, h.ext.vertices))
             for i in range(h.rank())

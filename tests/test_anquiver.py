@@ -14,6 +14,7 @@ from anstab.anquiver import (
     mutate,
     restrict,
 )
+from anstab.hearts import exchange_graph, standard_heart
 
 
 class TestMakeLinear:
@@ -122,16 +123,14 @@ class TestEulerPairing:
 class TestStrings:
     def test_a2(self):
         q = make_linear(2)
-        dims = sorted(s.dimension_vector(q.vertices) for s in enumerate_strings(q))
-        assert dims == [(0, 1), (1, 0), (1, 1)]
+        assert enumerate_strings(q) == [(0, 1), (1, 0), (1, 1)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_linear_intervals(self, n):
         q = make_linear(n)
         strings = enumerate_strings(q)
         assert len(strings) == n * (n + 1) // 2
-        for s in strings:
-            dv = s.dimension_vector(q.vertices)
+        for dv in strings:
             assert set(dv) <= {0, 1}
             support = [i for i, x in enumerate(dv) if x]
             assert support == list(range(support[0], support[-1] + 1))
@@ -140,6 +139,32 @@ class TestStrings:
         q = mutate(make_linear(3), 2)
         strings = enumerate_strings(q)
         assert len(strings) == _naive_path_census(q)
+
+    def test_string_through_a_sink_reached_last(self):
+        # 1 -> 2 <- 4 <- 3: the walk 3, 4, 2, 1 is a string
+        q = QuiverWithPotential.build([1, 2, 3, 4], [(1, 2), (3, 4), (4, 2)])
+        strings = enumerate_strings(q)
+        assert (1, 1, 1, 1) in strings
+        assert len(strings) == 10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_restriction_of_every_heart(self, n):
+        # each component of type A_r has r(r+1)/2 strings, one per
+        # connected vertex subset of it
+        for h in exchange_graph(standard_heart(n), 4)[0].values():
+            q = h.ext
+            for k in range(1, n + 1):
+                for subset in itertools.combinations(q.vertices, k):
+                    sub = restrict(q, subset)
+                    strings = enumerate_strings(sub)
+                    assert len(set(strings)) == len(strings)
+                    assert len(strings) == sum(
+                        len(c) * (len(c) + 1) // 2 for c in sub.components()
+                    )
+                    for dv in strings:
+                        assert set(dv) <= {0, 1}
+                        support = [v for v, x in zip(sub.vertices, dv) if x]
+                        assert len(sub.components(support)) == 1
 
     def test_cap_guards_wild_input(self):
         # a 3-cycle without potential is not A_n-type: walks never terminate

@@ -149,6 +149,26 @@ class TestValidate:
             assert back.charges == out.charges
             checked += 1
 
+    def test_two_atom_deeper_value(self):
+        # conj(v) * v is an exact tie that no filter decides for a two-atom
+        # v, so the window test compares each label only with the others
+        two = EC.unit(F(1, 5)) * gr(1, 1) + EC.unit(F(1, 7), -1)
+        m = validate_msc(standard_heart(2), [{1: gr(-1, 1), 2: gr(0)}, {2: two}])
+        assert m.charge(1) == {2: two}
+        assert _h_window_label([(2, two)]) == 2
+
+    def test_json_roundtrip_multi_atom_deeper_level(self):
+        import json
+
+        rng = random.Random(3)
+        m = random_msc(rng, 4, max_levels=3)
+        taus = [INFTY] * (m.L - 1) + [(F(rng.randrange(-12, 13), 13), F(-1, 2))]
+        out = c_act_msc(plumb(m, taus), F(rng.randrange(-12, 13), 13))
+        assert any(len(v.atoms) > 1 for lvl in out.charges[1:] for _, v in lvl)
+        back = MultiScaleStab.from_json(json.loads(json.dumps(out.to_json())))
+        assert equivalent(back, out)
+        assert back.charges == out.charges
+
 
 class TestEquivalence:
     def test_scalar_on_lower_level(self):
