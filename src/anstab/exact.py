@@ -204,30 +204,6 @@ _GR_ONE = gr(1)
 _HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 
-def _norm_pm1(r: Fraction) -> Fraction:
-    """Reduce r mod 2 into (-1, 1]."""
-    r = r % 2
-    if r > 1:
-        r -= 2
-    return r
-
-
-def _exact_phase(c: GaussianRational):
-    """Phase of c in (-1, 1] when it is rational (axes and diagonals), else None."""
-    a, b = c.re, c.im
-    if a == 0 and b == 0:
-        raise ZeroDivisionError("phase of 0")
-    if b == 0:
-        return Fraction(0) if a > 0 else Fraction(1)
-    if a == 0:
-        return Fraction(1, 2) if b > 0 else Fraction(-1, 2)
-    if abs(a) == abs(b):
-        if a > 0:
-            return Fraction(1, 4) if b > 0 else Fraction(-1, 4)
-        return Fraction(3, 4) if b > 0 else Fraction(-3, 4)
-    return None
-
-
 def _iv_frac(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
@@ -577,17 +553,6 @@ class ExactComplex:
 
     # -- numeric views
 
-    def abs2_parts(self) -> list[tuple[Fraction, Fraction]]:
-        """|v|^2 as a sum of e^(2*pi*s) * q terms: list of (s, q)."""
-        sq = self * self.conj()
-        out = []
-        for r, s, c in sq.atoms:
-            if r == 0 and c.im == 0:
-                out.append((s / 2, c.re))
-            else:  # mixed-rotation cross terms; keep the numeric view honest
-                return []
-        return out
-
     def to_mpc(self, dps: int = 30):
         with mpmath.workdps(dps):
             total = mpmath.mpc(0)
@@ -615,16 +580,6 @@ class ExactComplex:
             if r == 0 and s == 0:
                 return c
         return None
-
-    def phase_fraction(self) -> Fraction | None:
-        """Exact phase in (-1, 1] as a Fraction when it is rational, else None."""
-        if len(self.atoms) != 1:
-            return None
-        r, _, c = self.atoms[0]
-        p = _exact_phase(c)
-        if p is None:
-            return None
-        return _norm_pm1(p - r)
 
     # -- the charge wire format
 
@@ -703,7 +658,7 @@ def phase_cmp_rational(c: GaussianRational, r: Fraction) -> int:
     """Compare phase(c) in (-1, 1] with the rational r reduced mod 2 into
     (-1, 1]: ``cmp_phase`` of c against e^(i*pi*r).  Nothing in the package
     calls it; it stays because the benchmark's tracer (``bench/spans.py``)
-    wraps it by name, until that span is dropped (ROADMAP item 2)."""
+    wraps it by name, until that span is dropped (ROADMAP item 3)."""
     return ExactComplex.from_gaussian(c).cmp_phase(ExactComplex.unit(-r))
 
 
@@ -780,12 +735,6 @@ class Laurent:
     def cmp_phase(self, other: "Laurent") -> int:
         """Compare the phases of the leading coefficients."""
         return self.leading().cmp_phase(other.leading())
-
-    def eval_fraction(self, t: Fraction) -> ExactComplex:
-        total = ExactComplex.zero()
-        for k, c in self.coeffs.items():
-            total = total + c * (t**k)
-        return total
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Laurent) and self.coeffs == other.coeffs

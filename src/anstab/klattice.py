@@ -51,7 +51,9 @@ class BraidWord:
 
     @staticmethod
     def from_json(data) -> "BraidWord":
-        return BraidWord.build([(i, e) for i, e in data])
+        if not isinstance(data, list) or not all(isinstance(x, list) and len(x) == 2 for x in data):
+            raise ValueError(f"a braid word is a list of [generator, +-1] letters, got {data!r}")
+        return BraidWord.build(data)
 
 
 @dataclass(frozen=True)

@@ -106,32 +106,6 @@ def _on_positive_reals(v: EC) -> bool:
     return v.im_sign() == 0 and v.re_sign() > 0
 
 
-@dataclass(frozen=True)
-class LevelAssignment:
-    level_of: tuple[tuple[int, int], ...]   # (label, level)
-    valuations: tuple[int, ...]             # valuation per level, increasing
-
-    def level_sets(self) -> list[frozenset[int]]:
-        out = [set() for _ in self.valuations]
-        for l, i in self.level_of:
-            out[i].add(l)
-        return [frozenset(s) for s in out]
-
-
-def order_relation(heart: Heart, zc: LaurentCharge) -> LevelAssignment:
-    """Group simples into levels by t-adic valuation, largest charges first."""
-    _check_admissible(heart, zc)
-    vals = {}
-    for l in heart.labels:
-        f = zc.family(l)
-        vals[l] = f.valuation()
-    distinct = sorted(set(vals.values()))
-    return LevelAssignment(
-        tuple(sorted((l, distinct.index(v)) for l, v in vals.items())),
-        tuple(distinct),
-    )
-
-
 def _check_admissible(heart: Heart, zc: LaurentCharge) -> None:
     bad = []
     for l in heart.labels:

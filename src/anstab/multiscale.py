@@ -76,9 +76,6 @@ class MultiScaleStab:
     def level_components(self, i: int) -> list[frozenset[int]]:
         return self.top.ext.components(self.labels(i))
 
-    def is_honest(self) -> bool:
-        return self.L == 0
-
     def to_json(self) -> dict:
         return {
             "schema": 1,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .anquiver import enumerate_strings
 from .exact import (EC, AnstabError, ExactComplex, GaussianRational, expand, factor,
                     gauss_cmp_phase, rot_signs)
 from .hearts import Heart, HeartState, KClass, shift_heart
@@ -61,6 +60,9 @@ def as_exact_value(v) -> ExactComplex:
 
 
 def charge_from_values(heart: Heart, values: Mapping[int, object]) -> dict[int, ExactComplex]:
+    for l in values:
+        if l not in heart.labels:
+            raise StabilityError(f"charge given on label {l}, which is not a simple of the heart")
     out = {}
     for l in heart.labels:
         if l not in values:
@@ -157,54 +159,6 @@ def validate(heart: Heart, values: Mapping[int, object]) -> StabilityCondition:
         msg = "; ".join(f"simple {l}: {why}" for l, why in bad)
         raise StabilityError(f"invalid central charge: {msg}")
     return StabilityCondition(heart, tuple(sorted(charge.items())))
-
-
-@dataclass(frozen=True)
-class Phase:
-    """Exact phase handle for a nonzero charge value, normalized to (-1, 1]."""
-
-    value: ExactComplex
-
-    def fraction(self) -> Fraction | None:
-        return self.value.phase_fraction()
-
-    def __float__(self) -> float:
-        import cmath
-        import math
-
-        return cmath.phase(complex(self.value)) / math.pi
-
-
-@dataclass(frozen=True)
-class Mass:
-    """|Z| with the exact square kept alongside the float view.
-
-    ``sq_parts`` lists (s, q) with |Z|^2 = sum q * e^(2*pi*s); for plain
-    Gaussian charges this is a single (0, q) and the square is the Fraction q.
-    """
-
-    sq_parts: tuple[tuple[Fraction, Fraction], ...]
-    value: float
-
-    def exact_square(self) -> Fraction | None:
-        if len(self.sq_parts) == 1 and self.sq_parts[0][0] == 0:
-            return self.sq_parts[0][1]
-        return None
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def phase(sigma: StabilityCondition, gamma: KClass) -> Phase:
-    v = sigma.value(gamma)
-    if v.is_zero():
-        raise StabilityError("phase of a zero charge")
-    return Phase(v)
-
-
-def mass(sigma: StabilityCondition, gamma: KClass) -> Mass:
-    v = sigma.value(gamma)
-    return Mass(tuple(v.abs2_parts()), abs(v))
 
 
 class TiltState:
@@ -416,30 +370,3 @@ def c_act(sigma: StabilityCondition, lam) -> StabilityCondition:
     st.act_from(0, *as_lambda(lam))
     return StabilityCondition(st.heart, tuple(sorted(st.level(0).items())))
 
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    kclass: KClass
-    phase: Phase
-    mass: Mass
-
-
-def indecomposable_spectrum(sigma: StabilityCondition) -> list[SpectrumEntry]:
-    """Charges of all strings of the heart's ext-quiver, one entry per
-    dimension vector in ``enumerate_strings`` order.
-
-    This is a finite superset of the stable spectrum, which is what the
-    wall-avoidance and mass diagnostics need.
-    """
-    h = sigma.heart
-    charge = sigma.charge_dict()
-    entries = []
-    # a dimension vector is the string's coordinates in the simple basis
-    for dv in enumerate_strings(h.ext):
-        cls = tuple(
-            sum(m * h.cls(v)[i] for m, v in zip(dv, h.ext.vertices))
-            for i in range(h.rank())
-        )
-        v = coords_value(dict(zip(h.ext.vertices, dv)), charge)
-        entries.append(SpectrumEntry(cls, Phase(v), Mass(tuple(v.abs2_parts()), abs(v))))
-    return entries

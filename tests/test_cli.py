@@ -529,6 +529,13 @@ class TestExitCodes:
         assert code == 1
         assert "half plane" in err
 
+    def test_charge_on_a_label_off_the_heart_is_failure(self, capsys):
+        sigma = a2_sigma([-1, 1, 1, 1]).replace('"2":', '"7": [5, 1, 0, 1], "2":')
+        code, out, err = run(capsys, "c-act", sigma, "--lam", "1/2")
+        assert (code, out) == (1, "")
+        assert err.startswith("validation failure: charge given on label 7")
+        assert err.count("\n") == 1
+
     def test_unknown_command(self, capsys):
         code = main(["frobnicate"])
         assert code == 2
@@ -621,6 +628,12 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("usage error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("word", ["[1]", "[[1]]", "[[1, 1, 1]]"])
+    def test_braid_word_that_is_not_letters_is_quoted(self, capsys, word):
+        code, out, err = run(capsys, "braid", "--n", "3", "--word", word)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: a braid word is a list of [generator, +-1] letters, got {word}\n"
 
     @pytest.mark.parametrize(
         "argv, where",

@@ -197,12 +197,6 @@ class TestExactComplex:
         v = EC([(r, s, gr(a, b)) for r, s, a, b in atoms])
         assert EC.from_json(json.loads(json.dumps(v.to_json()))) == v
 
-    def test_phase_fraction(self):
-        assert ec(0, 2).phase_fraction() == F(1, 2)
-        assert ec(-3).phase_fraction() == 1
-        assert (EC.unit(F(1, 4)) * ec(0, 1)).phase_fraction() == F(1, 4)
-        assert ec(1, 2).phase_fraction() is None
-
 
 # Atoms with few rotations and scales, so that keys repeat and merge; a
 # drawn atom may be cancelled exactly by its copy turned by one half-turn.
@@ -410,10 +404,6 @@ class TestLaurent:
         assert f.valuation() == 0
         assert (f + g).valuation() == 1
         assert (f * gr(0, 1)).coeff(0) == EC.from_gaussian(gr(0, -1))
-
-    def test_eval(self):
-        f = Laurent({-1: gr(1), 2: gr(0, 3)})
-        assert f.eval_fraction(F(1, 2)) == EC.from_gaussian(gr(2, F(3, 4)))
 
     def test_exact_factor_on_either_side(self):
         f = Laurent({0: gr(1, 2), 1: EC.unit(F(1, 3))})

