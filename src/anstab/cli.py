@@ -273,8 +273,9 @@ def _cmd_limit(args) -> dict:
         if not isinstance(data, dict):
             raise UsageError("--family JSON must be an object from labels to terms")
         if sorted(data) != sorted(map(str, heart.labels)):
+            given = sorted(data, key=lambda k: (0, int(k)) if re.fullmatch(r"-?\d+", k) else (1, k))
             raise UsageError(
-                f"family labels {', '.join(sorted(data))} are not the heart's "
+                f"family labels {', '.join(given)} are not the heart's "
                 f"simples {', '.join(map(str, sorted(heart.labels)))}"
             )
         zc = LIM.LaurentCharge.from_json(data)

@@ -26,8 +26,9 @@ adds to ``scale``).  Crucially, sign tests are decidable:
   lo <= tan(pi*rot) <= hi decides, all by cross-multiplying, and intervals
   decide the rest;
 * for one factor f and Gaussians c1, c2, the phases of f*c1 and f*c2 inside
-  one half-plane bucket are ordered by the cross product Im(conj(c1)*c2)
-  (``gauss_cmp_phase``);
+  one half-plane bucket are ordered by the cross product Im(conj(c1)*c2):
+  ``gauss_cmp_phase`` on a factored level, and ``cross_signs`` on two single
+  atoms of one (rot, scale) key, with no filter and no product;
 * ``GaussianRational`` is the one Gaussian type: Fraction parts in atoms,
   int parts on a factored level.  ``factor`` writes a level of single atoms
   of one (rot, scale) key as that key, a common denominator and Gaussians
@@ -537,8 +538,13 @@ class ExactComplex:
 
     def cross_signs(self, other: "ExactComplex") -> tuple[int, int]:
         """Signs of Im(conj(self)*other) and, where that is 0, of its Re (else
-        0).  The filters decide Im = Re a Im b - Im a Re b where they can; the
-        product is built only where they cannot, as at exact ties."""
+        0).  Single atoms of one key decide by conj(c1)*c2 of their Gaussians;
+        else the filters decide Im = Re a Im b - Im a Re b where they can, and
+        the product is built only where they cannot, as at exact ties."""
+        if len(self.atoms) == len(other.atoms) == 1 and self.atoms[0][:2] == other.atoms[0][:2]:
+            p = self.atoms[0][2].conj() * other.atoms[0][2]
+            s = (p.im > 0) - (p.im < 0)
+            return s, 0 if s else (p.re > 0) - (p.re < 0)
         fa, fb = self._filter(), other._filter()
         if fa and fb:
             (ar, ai, er_a, ei_a), (br, bi, er_b, ei_b) = fa, fb

@@ -16,7 +16,8 @@ levels with charge Z_{j-1} + e^(-i*pi*tau) Z_j on the disjoint simple
 decomposition).  Lifted tilts use convenient representatives: tilt forward
 along the chains inside the deeper subset, tilt at the quotient simple, tilt
 backward along the chains; the deeper data returns to its starting state.
-Both operations run on the tilt engine ``stability.TiltState``.
+Both run on the tilt engine ``stability.TiltState``: one normalization,
+state and freeze per result, and the defect runs both orders on two states.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .anquiver import enumerate_strings, restrict
-from .exact import AnstabError, ExactComplex, factor, rot_signs
+from .exact import AnstabError, ExactComplex
 from .hearts import Heart, canonical_form
 from .klattice import simple_twist_data
 from .stability import (
@@ -117,19 +118,12 @@ def _h_window_label(values: Sequence[tuple[int, ExactComplex]]) -> int | None:
     """A label whose rotation-to-the-negative-axis puts the whole level in H.
 
     Returns the first label a such that every value b satisfies
-    phase(b) - phase(a) in (-1, 0]; None when no common rotation exists.
-    On a level that ``exact.factor`` accepts, conj(v_a) * v_b is a positive
-    multiple of conj(g_a) * g_b for the level's factored Gaussians g.
+    phase(b) - phase(a) in (-1, 0]: no conj(v_a) * v_b lies in H, as
+    ``cross_signs`` decides.  None when no common rotation exists.
     """
-    ch = dict(values)
-    _, gs = factor(ch) or (None, None)
-
-    def above(a: int, b: int) -> bool:
-        if gs:
-            return rot_signs(0).in_h(gs[a].conj() * gs[b])
-        return ch[a].cross_signs(ch[b]) in ((1, 0), (0, -1))  # Im > 0, or Im = 0 > Re
-
-    return next((a for a in ch if not any(above(a, b) for b in ch if b != a)), None)
+    ch, in_h = dict(values), ((1, 0), (0, -1))  # Im > 0, or Im = 0 > Re
+    return next((a for a in ch
+                 if not any(ch[a].cross_signs(ch[b]) in in_h for b in ch if b != a)), None)
 
 
 def _check_type_constraints(top: Heart, chain: list[frozenset[int]]) -> None:
@@ -361,7 +355,6 @@ def plumb(m: MultiScaleStab, taus: Sequence) -> MultiScaleStab:
     """
     if len(taus) != m.L:
         raise MscError(f"expected {m.L} plumbing entries, got {len(taus)}")
-    st = _state(normalize_representative(m))
     finite = []
     for j, tau in enumerate(taus, start=1):
         if tau is INFTY:
@@ -370,17 +363,21 @@ def plumb(m: MultiScaleStab, taus: Sequence) -> MultiScaleStab:
         if im >= 0:
             raise MscError(f"plumbing entry {j} must have negative imaginary part")
         finite.append((j, re, im))
+    st = _state(normalize_representative(m))
+    _plumb_state(st, finite)
+    return _freeze(st)
+
+
+def _plumb_state(st: TiltState, finite: list[tuple[int, Fraction, Fraction]]) -> None:
+    """Plumb the passages (j, re, im) of ``st``, deepest first."""
     for j, re, im in sorted(finite, reverse=True):
         st.act_from(j, re, im)
         st.merge(j)
-    out = _freeze(st)
     # plumbing valid inputs always yields a valid multi-scale object
-    for l in sorted(out.quotient_labels(0)):
-        if not out.charge(0)[l].in_upper_semiclosed():
-            raise AssertionError(
-                f"plumbed charge left the half plane on simple {l}"
-            )
-    return out
+    top = st.level(0)
+    for l in sorted(st.lset(0) - st.lset(1)):
+        if not top[l].in_upper_semiclosed():
+            raise AssertionError(f"plumbed charge left the half plane on simple {l}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +413,8 @@ class DefectResult:
 def commutation_defect(m: MultiScaleStab, lam, tau, tol: float = 1e-9) -> DefectResult:
     """Compare lam.(tau*m) against tau*(lam.m) on the level-0 simples.
 
+    Both orders run on states of the one normalized m (settling leaves the
+    deeper quotient in H, so no step needs to normalize again).
     Requires one level below zero and 0 <= Re(lam), 0 <= Re(tau),
     Re(lam + tau) < 1.  The defect is measured against the coarse bound
     ell * |e^(-i*pi*(lam+tau))| * sum of the lower-level simple masses, with
@@ -430,29 +429,26 @@ def commutation_defect(m: MultiScaleStab, lam, tau, tol: float = 1e-9) -> Defect
     if tim >= 0:
         raise MscError("tau must have negative imaginary part")
     m = normalize_representative(m)
-    sigma_tilde = c_act_msc(plumb(m, [(tre, tim)]), (lre, lim_))
-    sigma_hat = plumb(c_act_msc(m, (lre, lim_)), [(tre, tim)])
-    if not (
-        is_intermediate(sigma_tilde.top, m.top)
-        and is_intermediate(sigma_hat.top, m.top)
-    ):
+    tilde, hat = _state(m), _state(m)
+    _plumb_state(tilde, [(1, tre, tim)])
+    tilde.act_from(0, lre, lim_)
+    hat.act_from(0, lre, lim_)
+    _plumb_state(hat, [(1, tre, tim)])
+    sigma_tilde, sigma_hat = _freeze(tilde), _freeze(hat)
+    if not all(is_intermediate(s.top, m.top) for s in (sigma_tilde, sigma_hat)):
         raise AssertionError("defect hearts must be intermediate for the base heart")
-    per = []
-    worst = 0.0
     cht, chh = sigma_tilde.charge(0), sigma_hat.charge(0)
-    for l in sorted(m.top.labels):
-        cls = m.top.cls(l)
-        vt = _in_basis_value(sigma_tilde.top, cht, cls)
-        vh = _in_basis_value(sigma_hat.top, chh, cls)
-        d = abs(vt - vh)
-        per.append((l, d))
-        worst = max(worst, d)
+    per = tuple(
+        (l, abs(_in_basis_value(sigma_tilde.top, cht, c) - _in_basis_value(sigma_hat.top, chh, c)))
+        for l, c in sorted(zip(m.top.labels, m.top.classes))
+    )
+    worst = max(d for _, d in per)
     ell = len(enumerate_strings(restrict(m.top.ext, sorted(m.quotient_labels(0)))))
     scale = math.exp(math.pi * (lim_ + tim))
     lower = sum(abs(v) for l, v in m.charge(1).items())
     bound = ell * scale * lower
     within = worst <= bound * (1 + tol) + tol
-    return DefectResult(sigma_tilde, sigma_hat, worst, bound, within, tuple(per))
+    return DefectResult(sigma_tilde, sigma_hat, worst, bound, within, per)
 
 
 # ---------------------------------------------------------------------------

@@ -629,6 +629,13 @@ class TestExitCodes:
         assert err.startswith("usage error: ")
         assert err.count("\n") == 1
 
+    def test_family_labels_are_listed_in_numeric_order(self, capsys):
+        family = {str(l): [[0, 1, 1, 1, 1]] for l in range(1, 12)}
+        code, out, err = run(capsys, "limit", "--heart", "A10", "--family", json.dumps(family))
+        assert (code, out) == (2, "")
+        assert err == ("usage error: family labels 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11 are not "
+                       "the heart's simples 1, 2, 3, 4, 5, 6, 7, 8, 9, 10\n")
+
     @pytest.mark.parametrize("word", ["[1]", "[[1]]", "[[1, 1, 1]]"])
     def test_braid_word_that_is_not_letters_is_quoted(self, capsys, word):
         code, out, err = run(capsys, "braid", "--n", "3", "--word", word)

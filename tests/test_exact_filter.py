@@ -163,6 +163,36 @@ def test_filter_agrees_with_the_exact_path(monkeypatch):
         assert branches.verdicts[predicate, "fell"] > 0
 
 
+def test_same_key_atoms_decide_from_their_gaussians(monkeypatch):
+    """Two single atoms of one (rot, scale) key: ``cross_signs`` gives the
+    signs of conj(a)*b from their Gaussians, with no product built.  Equal,
+    parallel, antiparallel and unrelated Gaussians on each key."""
+    rng = random.Random(31)
+
+    def gauss():
+        while True:
+            c = gr(F(rng.randrange(-9, 10), rng.randrange(1, 5)), F(rng.randrange(-9, 10), rng.randrange(1, 5)))
+            if not c.is_zero():
+                return c
+
+    pairs = []
+    for rot in (F(0), F(1, 4), F(1, 5), F(3, 7)):
+        for scale in (F(0), F(-3, 2), F(5, 3)):
+            for _ in range(10):
+                c, k = gauss(), F(rng.randrange(1, 7), rng.randrange(1, 4))
+                for c2 in (c, c * k, c * -k, gauss()):
+                    pairs.append((EC([(rot, scale, c)]), EC([(rot, scale, c2)])))
+    assert all(a.atoms[0][:2] == b.atoms[0][:2] for a, b in pairs)
+    want = [exact_cross(a, b) for a, b in pairs]
+    assert {(1, 0), (-1, 0), (0, 1), (0, -1)} <= set(want)
+
+    def no_product(*args):
+        raise AssertionError("cross_signs built a product")
+
+    monkeypatch.setattr(EC, "__mul__", no_product)
+    assert [a.cross_signs(b) for a, b in pairs] == want
+
+
 def test_rotated_is_the_product_with_a_unit():
     rots = [F(0), F(1, 3), F(-1, 3), F(5, 2), F(7, 3), F(-9, 4), F(1, 2), F(49, 100), F(-1, 64)]
     scales = [F(0), F(1, 2), F(-7, 3), F(1000), F(-1000), F(-999, 2)]

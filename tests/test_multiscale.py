@@ -347,11 +347,8 @@ class TestActionOnMsc:
 @pytest.fixture
 def unfactor(monkeypatch):
     """Call it to keep every level as ExactComplex values: ``exact.factor``
-    then accepts no level, in the tilt engine and in the level checks."""
-    def patch():
-        for module in (stability, multiscale):
-            monkeypatch.setattr(module, "factor", lambda values: None)
-    return patch
+    then accepts no level in the tilt engine."""
+    return lambda: monkeypatch.setattr(stability, "factor", lambda values: None)
 
 
 def test_factored_levels_match_the_product_path(unfactor):
@@ -373,12 +370,13 @@ def test_factored_levels_match_the_product_path(unfactor):
         assert c_act_msc(p, lam) == out
 
 
-def test_level_checks_match_the_unfactored_path(unfactor):
-    """``_h_window_label``, ``validate_msc`` and ``normalize_representative``
-    give the same results, and the same errors, with ``exact.factor`` off.
-    Seeded deeper levels of three kinds: Gaussian, one rotated and rescaled
-    key, and two keys mixed; plus the levels ``plumb`` and ``c_act_msc``
-    return."""
+def test_level_checks_match_the_unfactored_path(monkeypatch):
+    """``_h_window_label`` gives the label the product rule gives (no
+    conj(v_a) * v_b in H), and ``validate_msc`` and
+    ``normalize_representative`` give the same results, and the same errors,
+    with the product rule in its place.  Seeded deeper levels of three kinds:
+    Gaussian, one rotated and rescaled key, and two keys mixed; plus the
+    levels ``plumb`` and ``c_act_msc`` return."""
     rng = random.Random(37)
 
     def gauss():
@@ -408,6 +406,11 @@ def test_level_checks_match_the_unfactored_path(unfactor):
         for i in range(p.L + 1):
             levels.append([(l, p.charge(i)[l]) for l in sorted(p.quotient_labels(i))])
 
+    def product_rule(vals):
+        ch = dict(vals)
+        return next((a for a in ch if not any(
+            (ch[a].conj() * ch[b]).in_upper_semiclosed() for b in ch if b != a)), None)
+
     def outcome(top, charges):
         try:
             m = validate_msc(top, charges)
@@ -423,9 +426,9 @@ def test_level_checks_match_the_unfactored_path(unfactor):
     assert any(k and k[0][:2] != (0, 0) for k in keys)
     assert None in want_labels and any(a is not None for a in want_labels)
     assert any(isinstance(w, str) for w in want) and any(isinstance(w, tuple) for w in want)
-    unfactor()
+    assert [product_rule(vals) for vals in levels] == want_labels
+    monkeypatch.setattr(multiscale, "_h_window_label", product_rule)
     assert [outcome(top, charges) for top, charges in inputs] == want
-    assert [_h_window_label(vals) for vals in levels] == want_labels
 
 
 class TestDefect:
@@ -443,6 +446,38 @@ class TestDefect:
         m = a2_limit_datum()
         r = commutation_defect(m, (0, F(-1, 2)), (F(1, 4), F(-2)))
         assert r.max_simple_defect == 0.0
+
+    def test_both_orders_match_the_public_operations(self, monkeypatch):
+        """sigma_tilde is lam.(tau*m) and sigma_hat is tau*(lam.m), as the
+        public ``plumb`` and ``c_act_msc`` give them, from one normalization
+        per defect."""
+        rng = random.Random(41)
+        cases = []
+        while len(cases) < 40:
+            m = random_msc(rng, rng.choice([2, 3, 4, 5]), max_levels=1)
+            if m.L != 1:
+                continue
+            lre = F(rng.randrange(0, 4), 4)
+            tau = (F(rng.randrange(0, 13 - int(13 * lre)), 13), F(-rng.randrange(1, 9), 3))
+            cases.append((m, (lre, F(rng.randrange(-4, 5), 4)), tau))
+        # plumbed at tau = -i, level 1 lands on level 0's key: the public
+        # chain factors the merged level again, the defect's states do not
+        m = validate_msc(standard_heart(3), [{1: gr(-2, 1), 2: gr(0), 3: gr(1, 1)},
+                                             {2: EC.unit(0, 1) * gr(0, 1)}])
+        cases += [(m, (F(1, 4), 0), (0, -1)), (m, (0, F(1, 2)), (0, -1))]
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return normalize_representative(m)
+
+        monkeypatch.setattr(multiscale, "normalize_representative", counted)
+        for m, lam, tau in cases:
+            calls.clear()
+            r = commutation_defect(m, lam, tau)
+            assert len(calls) == 1
+            assert r.sigma_tilde == c_act_msc(plumb(m, [tau]), lam)
+            assert r.sigma_hat == plumb(c_act_msc(m, lam), [tau])
 
     def test_defect_within_bound_and_decays(self):
         h = standard_heart(3)
