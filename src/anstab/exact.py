@@ -16,15 +16,11 @@ adds to ``scale``).  Crucially, sign tests are decidable:
   x*cos(pi*rot) + y*sin(pi*rot) for x, y read off a + b*i, with cos > 0 and
   sin > 0 unless rot = 0.  Every sign decision on an atom or a factored
   value goes through ``rot_signs(rot)``: its ``xy_sign`` decides that sign
-  for integer and rational x, y from constants kept once per rot, and its
-  ``in_h`` tests half-plane membership.  The signs of x and y decide unless
-  they are opposite, and then the sign is that of x exactly when
-  q = |x|/|y| > tan(pi*rot).  tan(pi*rot) is increasing with tan(pi/4) = 1,
-  so q = 1, q > 1 with rot <= 1/4 and q < 1 with rot >= 1/4 are symbolic;
-  otherwise q - tan(pi*rot) is nonzero (by Niven's theorem tan(pi*rot) is
-  rational only at rot = 0 and 1/4): q outside a cached rational bracket
-  lo <= tan(pi*rot) <= hi decides, all by cross-multiplying, and intervals
-  decide the rest;
+  for integer and rational x, y, and its ``in_h`` tests half-plane
+  membership.  The signs of x and y decide unless they are opposite; then
+  the sum is 0 only at rot = 1/4 with x = -y (tan(pi*rot) is rational only
+  at rot = 0 and 1/4, by Niven's theorem), and the double filter below and
+  intervals decide the rest;
 * for one factor f and Gaussians c1, c2, the phases of f*c1 and f*c2 inside
   one half-plane bucket are ordered by the cross product Im(conj(c1)*c2):
   ``gauss_cmp_phase`` on a factored level, and ``cross_signs`` on two single
@@ -36,9 +32,10 @@ adds to ``scale``).  Crucially, sign tests are decidable:
 * a certified double filter decides each sign first: ``_filter`` gives Re
   and Im in doubles with a rigorous bound (64-bit enclosures of cos,
   sin(pi*rot) and e^(pi*scale), plus rounding), and ``cross_signs`` reads
-  Im(conj(a)*b) off two of them.  The symbolic rules above and escalating-
-  precision interval arithmetic (mpmath.iv) decide only what it leaves
-  open; past a 16,384-bit cap the intervals raise ``PrecisionError``;
+  Im(conj(a)*b) off two of them; ``_atom_part`` is its per-atom term,
+  which ``xy_sign`` shares.  The exact rules above and escalating-precision
+  interval arithmetic (mpmath.iv) decide only what it leaves open; past a
+  16,384-bit cap the intervals raise ``PrecisionError``;
 * each value decides its Re and Im signs at most once and keeps them; a
   ``PrecisionError`` is raised again on every call, never cached.
 
@@ -211,9 +208,14 @@ def _iv_frac(q: Fraction):
 
 @functools.lru_cache(maxsize=512)
 def _iv_pi(f, r: Fraction, prec: int):
-    """f(pi*r) for f one of iv.cos, iv.sin, iv.tan, iv.exp, with ``prec`` the
+    """f(pi*r) for f one of iv.cos, iv.sin, iv.exp, with ``prec`` the
     current ``iv.prec``: the interval a fresh evaluation gives."""
     return f(iv.pi * _iv_frac(r))
+
+
+def _iv_xy(x, y, r: Fraction, prec: int):
+    """x*cos(pi*r) + y*sin(pi*r) at ``prec``, for x, y ints or Fractions."""
+    return _iv_frac(x) * _iv_pi(iv.cos, r, prec) + _iv_frac(y) * _iv_pi(iv.sin, r, prec)
 
 
 def _certified_sign(interval, what: str) -> int:
@@ -235,25 +237,16 @@ def _certified_sign(interval, what: str) -> int:
     raise PrecisionError(f"{what} not certified at {_IV_MAX_PREC} bits")
 
 
-def _iv_ends(f, r: Fraction):
-    """(lo, hi) with lo <= f(pi*r) <= hi, read exactly off the raw (sign,
-    mantissa, exponent) ends of one 64-bit enclosure; None if one is infinite."""
+def _enclose(f, r: Fraction) -> tuple[float, float]:
+    """(mid, rad) with |f(pi*r) - mid| <= rad: the double nearest the middle
+    of one 64-bit enclosure, whose raw (sign, mantissa, exponent) ends are
+    read exactly, and the distance to its far end, rounded up."""
     old, iv.prec = iv.prec, _IV_START_PREC
     try:
         ends = f(iv.pi * _iv_frac(r))._mpi_
     finally:
         iv.prec = old
-    if all(man or not exp for _, man, exp, _ in ends):
-        return tuple((-1) ** sign * int(man) * Fraction(2) ** exp for sign, man, exp, _ in ends)
-
-
-_tan_bracket = functools.partial(_iv_ends, iv.tan)
-
-
-def _enclose(f, r: Fraction) -> tuple[float, float]:
-    """(mid, rad) with |f(pi*r) - mid| <= rad: the double nearest the middle
-    of ``_iv_ends(f, r)`` and the distance to its far end, rounded up."""
-    lo, hi = _iv_ends(f, r)
+    lo, hi = ((-1) ** sign * int(man) * Fraction(2) ** exp for sign, man, exp, _ in ends)
     try:
         mid = float((lo + hi) / 2)
         return mid, nextafter(float(max(hi - Fraction(mid), Fraction(mid) - lo)), inf)
@@ -277,52 +270,43 @@ def _xy(c: GaussianRational, part: str) -> tuple[Fraction, Fraction]:
     return (c.re, c.im) if part == "re" else (c.im, -c.re)
 
 
-class RotSigns:
-    """The rot-dependent constants of the sign ladder for one rot in
-    [0, 1/2), computed once per rot by ``rot_signs``: ``side`` is
-    sign(1/4 - rot) (None at rot = 0), ``bracket`` the ``_tan_bracket`` ends
-    as integers (lo_num, lo_den, hi_num, hi_den) or None, ``cos_sin`` the
-    ``_enclose`` pairs of cos and sin(pi*rot)."""
+def _atom_part(x: float, y: float, cos_sin, em: float, er: float) -> tuple[float, float, float]:
+    """One atom's (value, magnitude, radius) in ``_filter``'s sums for the part
+    e^(pi*scale) * (x*cos(pi*rot) + y*sin(pi*rot)), e^(pi*scale) being em +- er."""
+    cm, cr, sm, sr = cos_sin
+    m = abs(x * cm) + abs(y * sm)
+    return (em * (x * cm + y * sm), em * m,
+            er * m + (er + em) * (abs(x) * cr + abs(y) * sr) + (1 + em) * 2**-1070)
 
-    __slots__ = ("rot", "side", "bracket", "cos_sin")
+
+class RotSigns:
+    """Signs for one rot in [0, 1/2), built once per rot by ``rot_signs``;
+    ``cos_sin`` holds the ``_enclose`` pairs of cos and sin(pi*rot)."""
+
+    __slots__ = ("rot", "cos_sin")
 
     def __init__(self, rot: Fraction):
         self.rot = rot
         self.cos_sin = (*_enclose(iv.cos, rot), *_enclose(iv.sin, rot))
-        self.side = None if rot == 0 else (rot < _QUARTER) - (rot > _QUARTER)
-        bracket = _tan_bracket(rot) if self.side else None
-        self.bracket = bracket and tuple(x for end in bracket
-                                         for x in (end.numerator, end.denominator))
 
     def xy_sign(self, x, y) -> int:
-        """Sign of x*cos(pi*rot) + y*sin(pi*rot) for x, y ints or Fractions;
-        |x| is compared with |y| and the tan bracket by cross-multiplying,
-        and a Fraction is built only for intervals."""
+        """Sign of x*cos(pi*rot) + y*sin(pi*rot) for x, y ints or Fractions:
+        signs of x and y that are not opposite, then the tie at rot = 1/4,
+        then ``_filter``'s bound for one atom of scale 0, then intervals."""
         sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
-        side = self.side
-        if side is None or sy == 0:
+        if self.rot == 0 or sy == 0:
             return sx
         if sx == 0 or sx == sy:
             return sy
-        # opposite signs: the sign is that of x exactly when
-        # q = |x|/|y| > tan(pi*rot), and tan(pi/4) = 1
-        ax, ay = abs(x), abs(y)
-        if ax == ay:
-            return sx * side
-        if ax > ay and side >= 0:
-            return sx
-        if ax < ay and side <= 0:
-            return sy
-        if self.bracket:
-            lo_n, lo_d, hi_n, hi_d = self.bracket
-            if ax * hi_d > hi_n * ay:
-                return sx
-            if ax * lo_d < lo_n * ay:
-                return sy
-        q, rot = Fraction(ax) / ay, self.rot
-        return sx * _certified_sign(
-            lambda: _iv_frac(q) - _iv_pi(iv.tan, rot, iv.prec), "phase comparison"
-        )
+        if self.rot == _QUARTER and x == -y:
+            return 0
+        try:
+            v, m, e = _atom_part(float(x), float(y), self.cos_sin, 1.0, 0.0)
+            if abs(v) > e + 5 * 2**-52 * (e + m):  # n + 4 = 5 roundings
+                return 1 if v > 0 else -1
+        except OverflowError:
+            pass  # no verdict
+        return _certified_sign(lambda: _iv_xy(x, y, self.rot, iv.prec), "phase comparison")
 
     def in_h(self, c: GaussianRational) -> bool:
         """``in_upper_semiclosed`` of e^(-i*pi*rot) * c times any positive
@@ -356,7 +340,7 @@ class ExactComplex:
     is not yet detected.
 
     ``im_sign`` and ``re_sign`` decide at most once per value: the double
-    filter first, then the symbolic ladder and intervals; a
+    filter first, then the per-atom ladder and intervals; a
     ``PrecisionError`` is never cached.  Equality and hashing read ``atoms``.
     """
 
@@ -472,14 +456,13 @@ class ExactComplex:
         val, mag, rad = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
         try:
             for r, s, c in self.atoms:
-                cm, cr, sm, sr = rot_signs(r).cos_sin
-                em, er = _exp_pi(s)
+                cos_sin, (em, er) = rot_signs(r).cos_sin, _exp_pi(s)
                 a, b = float(c.re), float(c.im)
                 for k, x, y in ((0, a, b), (1, b, -a)):  # as in ``_xy``
-                    val[k] += em * (x * cm + y * sm)
-                    m = abs(x * cm) + abs(y * sm)
-                    mag[k] += em * m
-                    rad[k] += er * m + (er + em) * (abs(x) * cr + abs(y) * sr) + (1 + em) * 2**-1070
+                    v, m, e = _atom_part(x, y, cos_sin, em, er)
+                    val[k] += v
+                    mag[k] += m
+                    rad[k] += e
         except OverflowError:
             mag = [inf, inf]  # no verdict
         g = (len(self.atoms) + 4) * 2**-52
@@ -501,9 +484,7 @@ class ExactComplex:
         def total():
             out, p = iv.mpf(0), iv.prec
             for r, s, c in self.atoms:
-                x, y = _xy(c, part)
-                val = _iv_frac(x) * _iv_pi(iv.cos, r, p) + _iv_frac(y) * _iv_pi(iv.sin, r, p)
-                out += _iv_pi(iv.exp, s, p) * val
+                out += _iv_pi(iv.exp, s, p) * _iv_xy(*_xy(c, part), r, p)
             return out
 
         return _certified_sign(total, f"sign of {part}")

@@ -30,7 +30,7 @@ from .anquiver import enumerate_strings
 from .exact import EC, AnstabError, GaussianRational, Laurent
 from .hearts import Heart
 from .multiscale import MultiScaleStab, validate_msc
-from .stability import TiltState
+from .stability import TiltState, label_from_key
 
 
 class LimitError(AnstabError):
@@ -78,11 +78,11 @@ class LaurentCharge:
 
     @staticmethod
     def from_json(data: Mapping) -> "LaurentCharge":
-        """The inverse of ``to_json``: exponents are JSON integers, distinct
-        within each family."""
+        """The inverse of ``to_json``: keys pass ``label_from_key``, and
+        exponents are JSON integers, distinct within each family."""
         fams = {}
         for l, terms in data.items():
-            coeffs = {}
+            label, coeffs = label_from_key(l, "family"), {}
             if not isinstance(terms, list):
                 raise AnstabError(f"simple {l}: terms {terms!r} are not a list")
             for term in terms:
@@ -97,7 +97,7 @@ class LaurentCharge:
                     coeffs[k] = EC.from_json(c[0] if len(c) == 1 else c)
                 except AnstabError as exc:
                     raise AnstabError(f"simple {l}, exponent {k}: {exc}") from None
-            fams[int(l)] = coeffs
+            fams[label] = coeffs
         return LaurentCharge.build(fams)
 
 

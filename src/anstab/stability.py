@@ -71,20 +71,25 @@ def charge_from_values(heart: Heart, values: Mapping[int, object]) -> dict[int, 
     return out
 
 
+def label_from_key(key, what: str) -> int:
+    """The label a JSON key names: the key must be its decimal string
+    (``str(int(key)) == key``), so distinct keys name distinct simples."""
+    try:
+        if str(label := int(key)) == key:
+            return label
+    except (TypeError, ValueError):
+        pass
+    raise AnstabError(f"{what} key {key!r} is not the decimal string of a label")
+
+
 def charge_from_json(data: Mapping, where: str = "") -> dict[int, ExactComplex]:
     """Decode a ``{"label": value}`` charge map; errors name ``where`` and the
-    simple.  A key is the decimal string of a label (``str(int(key)) == key``),
-    so distinct keys name distinct simples."""
+    simple, and each key passes ``label_from_key``."""
     if not isinstance(data, Mapping):
         raise AnstabError(f"{where}charge is not a map from labels to values")
     out = {}
     for l, v in data.items():
-        try:
-            label = int(l)
-        except (TypeError, ValueError):
-            label = None
-        if label is None or str(label) != l:
-            raise AnstabError(f"{where}charge key {l!r} is not the decimal string of a label")
+        label = label_from_key(l, f"{where}charge")
         try:
             out[label] = EC.from_json(v)
         except ValueError as exc:
@@ -174,7 +179,8 @@ class TiltState:
     ``factors[i]`` is its key (rot, scale, D) and its values are
     ``exact.GaussianRational`` with int parts.  A rotation moves the key and
     turns each value, a tilt is integer addition, the half-plane test is
-    ``rot_signs(rot).in_h`` on integers (fetched once per settle), the phase
+    ``rot_signs(rot).in_h`` on integers (fetched once per settle: their
+    signs, then the key's double filter, then intervals), the phase
     comparison is the integer cross product ``exact.gauss_cmp_phase``, and
     ``level(i)`` reads the values back through ``exact.expand`` at the
     engine's exits.

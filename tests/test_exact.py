@@ -350,43 +350,26 @@ class TestSameKeyRule:
         assert a.cmp_phase(b) == oracle_cmp(a, b)
 
 
-def test_tan_bracket_is_sound():
-    """lo < tan(pi*r) < hi for every r in [0, 1/2) with denominator <= 48,
-    against sympy's tan(pi*r) to 60 digits; tan is rational only at r = 0 and
-    1/4 (Niven), where lo <= tan <= hi."""
-    sympy = pytest.importorskip("sympy")
-    margin = sympy.Float(10) ** -50
-    rots = sorted({F(p, q) for q in range(1, 49) for p in range(q) if F(p, q) < F(1, 2)})
-    for r in rots:
-        lo, hi = (sympy.Rational(x.numerator, x.denominator) for x in exact._tan_bracket(r))
-        exact_r = sympy.Rational(r.numerator, r.denominator)
-        t = sympy.tan(sympy.pi * exact_r, evaluate=False).evalf(60)
-        if r in (0, F(1, 4)):  # tan(pi*r) = 4r
-            assert lo <= sympy.Rational(4 * r) <= hi
-        else:
-            assert t - lo > margin and hi - t > margin, r
-
-
 def test_xy_sign_on_integers_matches_atom_sign():
     """``rot_signs(r).xy_sign`` on an integer pair (x, y) decides as it does
     on x/d, y/d as Fractions and as ``re_sign`` of the atom
     e^(-i*pi*r) * (x/d + (y/d)i), and all agree with a 60-digit evaluation of
     x*cos(pi*r) + y*sin(pi*r) (0 below 1e-40).  Every r in [0, 1/2) with denominator <= 48,
-    with seeded pairs at q = |x|/|y| = 1, above and below 1, and at and just
-    past both ends of the tan bracket."""
+    with seeded pairs at q = |x|/|y| = 1, above and below 1, and at
+    (n +- 1) / 2^k for n = round(2^k tan(pi*r)), k = 20, 40 and 64: past
+    the doubles' reach at k = 64, so the interval fallback runs."""
     rng = random.Random(41)
     rots = sorted({F(p, q) for q in range(1, 49) for p in range(q) if F(p, q) < F(1, 2)})
     for r in rots:
         m = rng.randrange(1, 50)
         pairs = [(m, -m), (-m, m), (0, m), (m, 0), (0, 0), (5 * m, -m), (-m, 3 * m)]
         pairs += [(rng.randrange(-99, 100), rng.randrange(-99, 100)) for _ in range(4)]
-        if bracket := exact._tan_bracket(r):
-            for end, nudge in zip(bracket, (-1, 1)):
-                n, d = end.numerator, end.denominator
-                pairs += [(n, -d), (2 * n + nudge, -2 * d)]
         with mpmath.workdps(60):
             t = mpmath.pi * mpmath.mpf(r.numerator) / r.denominator
             cos, sin, tiny = mpmath.cos(t), mpmath.sin(t), mpmath.mpf(10) ** -40
+            for k in (20, 40, 64):
+                n = int(mpmath.nint(mpmath.tan(t) * 2**k))
+                pairs += [(n - 1, -(2**k)), (n + 1, -(2**k))]
             for x, y in pairs:
                 d = rng.randrange(1, 13)
                 got = exact.rot_signs(r).xy_sign(x, y)

@@ -2,7 +2,7 @@
 ``to_mpc``.
 
 The differential test compares every verdict with the one the exact path
-(symbolic ladder and intervals, the filter switched off) gives on the same
+(per-atom ladder and intervals, the value's filter off) gives on the same
 value: the same sign, or the same exception type.  Its inputs are seeded
 values, the values of test_exact.py and constructed near-ties, and it checks
 that both the filter's branches, decided and fallen through, occur.

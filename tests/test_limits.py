@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -262,3 +263,12 @@ class TestSerialization:
         data = json.loads(json.dumps(zc.to_json()))
         assert data["1"][1] == [2, 0, 1, 1, 2]  # Gaussian terms keep [k, a, b, c, d]
         assert LaurentCharge.from_json(data).families == zc.families
+
+    @pytest.mark.parametrize("keys", [("1", "01"), ("1", " 2"), ("1", "+2"), ("1", "x")])
+    def test_keys_are_decimal_labels(self, keys):
+        """A key names a label only as its decimal string: "01" does not
+        silently replace the family of "1", and errors name the key."""
+        data = {k: [[0, 0, 1, 1, 1]] for k in keys}
+        message = re.escape(f"family key {keys[1]!r} is not the decimal string of a label")
+        with pytest.raises(exact.AnstabError, match=message):
+            LaurentCharge.from_json(data)
