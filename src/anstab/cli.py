@@ -309,7 +309,7 @@ def _cmd_strata(args):
             },
         }
     if args.format == "dot":
-        return (g.to_dot() for g in ST.enumerate_graphs(args.n, args.levels))
+        return (g.to_dot() for g in ST.iter_graphs(args.n, args.levels))
     payload = ST.census(args.n, args.levels)
     if not args.labeled:
         for entry in payload["types"]:

@@ -14,8 +14,10 @@ plus a level map, and it is stored as one: a level, a parent and the zero
 labels per vertex, numbered parent-first.  Child lists and enhancements come
 from one backward pass over the parents, and the edge triples are derived
 for readers of the JSON and dot output.  Enumeration generates exactly these
-graphs: each block tree once, then each level map that descends along its
-edges and leaves no level empty, so nothing is built only to be filtered out.
+graphs: each block tree once, in preorder form joined from its child blocks'
+subtrees, which are built once per call, then each level map that descends
+along its edges and leaves no level empty, so nothing is built only to be
+filtered out, and the graphs stream.
 
 The census builds one labeled graph per type.  It generates each unlabeled
 type once, as a leg count plus a multiset of deeper child subtrees memoized
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import AnstabError
 from .multiscale import MscError, MultiScaleStab
@@ -90,25 +92,26 @@ class EnhancedLevelGraph:
     def validate(self) -> None:
         """Check what the representation leaves open; it forces the
         enhancements and the vertex sums itself."""
-        count = len(self.levels)
-        if not count or self.levels[0] != 0 or self.parents[:1] != (-1,):
+        levels, parents, zeros = self.levels, self.parents, self.zeros
+        count = len(levels)
+        if not count or levels[0] != 0 or parents[:1] != (-1,):
             raise StrataError("vertex 0 must be the top, at level 0")
-        if len(self.parents) != count or len(self.zeros) != count:
+        if len(parents) != count or len(zeros) != count:
             raise StrataError("levels, parents and zeros must list every vertex")
-        special = [len(z) + 1 for z in self.zeros]  # legs plus upper edge or pole
+        special = [len(z) + 1 for z in zeros]  # legs plus upper edge or pole
         for v in range(1, count):
-            u = self.parents[v]
+            u = parents[v]
             if not 0 <= u < v:
                 raise StrataError(f"vertex {v} must hang below an earlier vertex")
-            if self.levels[u] <= self.levels[v]:
+            if levels[u] <= levels[v]:
                 raise StrataError("edges must descend strictly between levels")
             special[u] += 1
-        if set(self.levels) != set(range(-self.depth, 1)):
+        if set(levels) != set(range(min(levels), 1)):
             raise StrataError("levels must occupy 0..-L without gaps")
-        for v, s in enumerate(special):
-            if s < 3:
-                raise StrataError(f"vertex {v} is unstable: {s} special points")
-        labels = sorted(l for z in self.zeros for l in z)
+        if min(special) < 3:
+            v = next(v for v, s in enumerate(special) if s < 3)
+            raise StrataError(f"vertex {v} is unstable: {special[v]} special points")
+        labels = sorted(itertools.chain.from_iterable(zeros))
         if labels != list(range(len(labels))):
             raise StrataError("zero labels must be 0..n")
 
@@ -212,15 +215,27 @@ def _families(pool: list[int], size: int, acc: tuple = ()):
                 yield from _families([x for x in later if x not in combo], size, fam)
 
 
-def _trees(labels: frozenset[int], depth_budget: int):
-    """Nested blocks ``(labels, children)`` at most depth_budget deep."""
+def _trees(labels: frozenset[int], depth_budget: int, memo: dict):
+    """Block trees on ``labels`` at most depth_budget deep, streamed as
+    preorder ``(parents, zeros)`` pairs: the block's own zeros at vertex 0,
+    then each child's subtree, shifted by its offset, from the lists that
+    ``memo`` holds once per ``(child labels, budget)``."""
     fams = _families(sorted(labels), len(labels)) if depth_budget > 1 else ()
     for fam in itertools.chain([()], fams):
-        for kids in itertools.product(*[list(_trees(c, depth_budget - 1)) for c in fam]):
-            yield (labels, kids)
+        for c in fam:
+            if (c, depth_budget - 1) not in memo:
+                memo[c, depth_budget - 1] = list(_trees(c, depth_budget - 1, memo))
+        legs = tuple(sorted(labels.difference(*fam)))
+        for kids in itertools.product(*[memo[c, depth_budget - 1] for c in fam]):
+            parents, zeros = [-1], [legs]
+            for kid_parents, kid_zeros in kids:
+                offset = len(zeros)
+                parents += (0, *(u + offset for u in kid_parents[1:]))
+                zeros += kid_zeros
+            yield tuple(parents), tuple(zeros)
 
 
-def _level_maps(parents: list[int], max_levels: int):
+def _level_maps(parents: Sequence[int], max_levels: int):
     """Level tuples, vertex 0 at 0 and every other vertex strictly below its
     parent, that occupy all of 0..-d for some d <= max_levels."""
 
@@ -237,13 +252,14 @@ def _level_maps(parents: list[int], max_levels: int):
         yield from rec([0], d)
 
 
-def enumerate_graphs(n: int, max_levels: int) -> list[EnhancedLevelGraph]:
-    """All labeled enhanced level graphs with 1..max_levels levels below zero.
+def iter_graphs(n: int, max_levels: int) -> Iterator[EnhancedLevelGraph]:
+    """All labeled enhanced level graphs with 1..max_levels levels below zero,
+    one at a time.
 
     A graph is a tree of blocks: the top vertex holds all the zeros, and each
     child block is a set of at least two zeros colliding below its parent.
-    The trees come from ``_trees`` and their vertices are numbered in
-    preorder, which is parent-first; the level maps of each tree come from
+    The trees come from ``_trees`` with their vertices numbered in preorder,
+    which is parent-first; the level maps of each tree come from
     ``_level_maps``, which only emits valid ones.  Enhancements are forced by
     the vertex-sum rule, so nothing else is chosen, and no graph can repeat
     because it determines its block tree and its level map.  The graphs of
@@ -252,35 +268,26 @@ def enumerate_graphs(n: int, max_levels: int) -> list[EnhancedLevelGraph]:
     """
     if n < 1:
         raise StrataError("need at least two zeros")
-    out = []
     seen = set()
     maps: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for tree in _trees(frozenset(range(n + 1)), max_levels + 1):
-        if not tree[1]:
-            continue
-        parents: list[int] = [-1]
-        zeros: list[tuple[int, ...]] = []
-
-        def walk(block, v: int):
-            labels, kids = block
-            zeros.append(tuple(sorted(labels.difference(*(k[0] for k in kids)))))
-            for kid in kids:
-                w = len(zeros)
-                parents.append(v)
-                walk(kid, w)
-
-        walk(tree, 0)
-        shared = (tuple(parents), tuple(zeros))
-        if shared[0] not in maps:
-            maps[shared[0]] = list(_level_maps(parents, max_levels))
-        for levels in maps[shared[0]]:
-            g = EnhancedLevelGraph(levels, *shared)
+    trees = _trees(frozenset(range(n + 1)), max_levels + 1, {})
+    next(trees)  # the smooth graph, without an edge
+    for parents, zeros in trees:
+        if parents not in maps:
+            maps[parents] = list(_level_maps(parents, max_levels))
+        for levels in maps[parents]:
+            g = EnhancedLevelGraph(levels, parents, zeros)
             g.validate()
             if g in seen:
                 raise AssertionError("duplicate labeled graph generated")
             seen.add(g)
-            out.append(g)
-    return out
+            yield g
+
+
+def enumerate_graphs(n: int, max_levels: int) -> list[EnhancedLevelGraph]:
+    """Every graph of ``iter_graphs``, as a list, for callers that count or
+    group them."""
+    return list(iter_graphs(n, max_levels))
 
 
 def unlabeled_census(graphs: Iterable[EnhancedLevelGraph]):
@@ -336,10 +343,19 @@ def undegenerate(g: EnhancedLevelGraph, passages: Iterable[int]) -> EnhancedLeve
 def adjacency_poset(graphs: Sequence[EnhancedLevelGraph], labeled: bool = False):
     """Degeneration order on canonical forms: g' <= g when some undegeneration
     of g' equals g.  Returns (keys, relation) with relation mapping each key
-    to the set of keys of its strict undegenerations."""
+    to the set of keys of its strict undegenerations.  An unlabeled key reads
+    only the levels, parents and leg counts, so it is computed once per shape."""
     keyed: dict[object, EnhancedLevelGraph] = {}
+    shapes: dict[tuple, object] = {}
     for g in graphs:
-        keyed.setdefault(canonical_key(g, labeled), g)
+        if labeled:
+            key = canonical_key(g, True)
+        else:
+            shape = (g.levels, g.parents, tuple(map(len, g.zeros)))
+            if shape not in shapes:
+                shapes[shape] = canonical_key(g)
+            key = shapes[shape]
+        keyed.setdefault(key, g)
     relation: dict[object, set] = {k: set() for k in keyed}
     for key, g in keyed.items():
         depth = g.depth

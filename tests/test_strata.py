@@ -23,6 +23,7 @@ from anstab.strata import (
     double_cover,
     enumerate_graphs,
     from_msc,
+    iter_graphs,
     prong_count,
     smooth_graph,
     undegenerate,
@@ -115,6 +116,32 @@ class TestEnumeration:
         assert len(gs) == count
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_order_pinned_small_sizes(self):
+        # the census representatives are the first graph of each type in this
+        # order, so every graph of every small size keeps its place
+        digest = hashlib.sha256()
+        for n in range(1, 6):
+            for max_levels in (1, 2, 3):
+                for g in enumerate_graphs(n, max_levels):
+                    digest.update(json.dumps(g.to_json()).encode())
+        assert digest.hexdigest() == (
+            "83be84582dea6e130cc6dbf51bc3245cce1336b27d1a3150b0b04d2d8510ca03"
+        )
+
+    def test_stream_is_lazy(self, monkeypatch):
+        # the first graph at (7, 2) comes before the 159,615 others are built
+        calls = []
+        validate = EnhancedLevelGraph.validate
+
+        def counted(g):
+            calls.append(g)
+            validate(g)
+
+        monkeypatch.setattr(EnhancedLevelGraph, "validate", counted)
+        first = next(iter_graphs(7, 2))
+        assert 0 < len(calls) < 100
+        assert first == EnhancedLevelGraph((0, -1), (-1, 0), ((2, 3, 4, 5, 6, 7), (0, 1)))
+
     def test_one_level_counts_are_bell_numbers(self):
         # a one-level graph is a set partition of the n+1 zeros whose
         # singletons sit on the top vertex, minus the partition into
@@ -202,6 +229,24 @@ class TestPoset:
             # strict undegenerations live at strictly smaller depth
             for u in ups:
                 assert keyed[u].depth < keyed[k].depth
+
+    @pytest.mark.parametrize("n, max_levels", [(n, L) for n in range(1, 6) for L in (1, 2, 3)])
+    def test_shape_keys_match_canonical_keys(self, n, max_levels):
+        # the poset keyed by canonical_key of every graph, written out
+        gs = enumerate_graphs(n, max_levels)
+        keyed = {}
+        for g in gs:
+            keyed.setdefault(canonical_key(g), g)
+        relation = {k: set() for k in keyed}
+        for key, g in keyed.items():
+            for r in range(1, g.depth + 1):
+                for passages in itertools.combinations(range(1, g.depth + 1), r):
+                    hkey = canonical_key(undegenerate(g, passages))
+                    if hkey in keyed and hkey != key:
+                        relation[key].add(hkey)
+        got_keyed, got_relation = adjacency_poset(gs)
+        assert list(got_keyed.items()) == list(keyed.items())
+        assert got_relation == relation
 
     def test_single_graph(self):
         g = enumerate_graphs(2, 1)[:1]
@@ -317,6 +362,26 @@ class TestSerialization:
     def test_rejects(self, data, match):
         with pytest.raises(StrataError, match=match):
             EnhancedLevelGraph.from_json(data)
+
+    @pytest.mark.parametrize(
+        "levels, parents, zeros, match",
+        [
+            ((), (), (), "vertex 0 must be the top"),
+            ((-1, -2), (-1, 0), ((0,), (1, 2)), "vertex 0 must be the top"),
+            ((0, -1), (0, 0), ((0,), (1, 2)), "vertex 0 must be the top"),
+            ((0, -1), (-1, 0), ((0, 1, 2),), "must list every vertex"),
+            ((0, -1), (-1,), ((0,), (1, 2)), "must list every vertex"),
+            ((0, -1), (-1, 1), ((0,), (1, 2)), "vertex 1 must hang below an earlier vertex"),
+            ((0, 0), (-1, 0), ((0,), (1, 2)), "descend strictly"),
+            ((0, -1, -1), (-1, 0, 1), ((0,), (1,), (2, 3)), "descend strictly"),
+            ((0, -2), (-1, 0), ((0,), (1, 2)), "without gaps"),
+            ((0, -1), (-1, 0), ((0,), (1, 3)), "zero labels must be 0..n"),
+            ((0, -1), (-1, 0), ((0, 1), (1, 2)), "zero labels must be 0..n"),
+        ],
+    )
+    def test_validate_rejects(self, levels, parents, zeros, match):
+        with pytest.raises(StrataError, match=match):
+            EnhancedLevelGraph(levels, parents, zeros).validate()
 
     def test_dot(self):
         dot = enumerate_graphs(3, 1)[0].to_dot()
