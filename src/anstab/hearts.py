@@ -102,6 +102,8 @@ class Heart:
         classes = tuple(tuple(s["class"]) for s in data["simples"])
         ext = QuiverWithPotential.from_json(data["extquiver"])
         prov = data.get("provenance", {})
+        if not isinstance(prov, dict):
+            raise HeartError(f"provenance {prov!r} is not an object")
         word = tuple((p[0], p[1]) for p in prov.get("word", []))
         check_ints(labels, "simple label")
         check_ints([*(x for p in word for x in p), prov.get("shift", 0)], "provenance entry")

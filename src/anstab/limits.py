@@ -106,10 +106,13 @@ def _on_positive_reals(v: EC) -> bool:
     return v.im_sign() == 0 and v.re_sign() > 0
 
 
-def _check_admissible(heart: Heart, zc: LaurentCharge) -> None:
+def _check_admissible(heart: Heart, fams: Mapping[int, Laurent]) -> None:
+    if fams.keys() != set(heart.labels):
+        raise AnstabError(f"family labels {', '.join(map(str, sorted(fams)))} are not the "
+                          f"heart's simples {', '.join(map(str, sorted(heart.labels)))}")
     bad = []
     for l in heart.labels:
-        f = zc.family(l)
+        f = fams[l]
         if f.is_zero():
             bad.append((l, "identically zero"))
         elif not f.in_upper_semiclosed():
@@ -125,10 +128,12 @@ def extract_limit(heart: Heart, zc: LaurentCharge):
     Returns (msc, rotation): the applied total rotation r means every output
     charge carries the factor e^(-i*pi*r); dropping it recovers the
     unrotated leading coefficients.  Deterministic: the rotation branch
-    always picks the earliest admissible schedule value.
+    always picks the earliest admissible schedule value.  Families that are
+    not exactly on the heart's simples raise ``AnstabError`` (exit 2).
     """
-    _check_admissible(heart, zc)
-    st = TiltState(heart, [dict(zc.families)])
+    fams = dict(zc.families)
+    _check_admissible(heart, fams)
+    st = TiltState(heart, [fams])
     rot = Fraction(0)
     for _round in range(len(ROTATION_SCHEDULE) + 1):
         h, fams = st.heart, st.charges[0]

@@ -321,13 +321,13 @@ def projectively_equivalent(m1: MultiScaleStab, m2: MultiScaleStab) -> bool:
 
 
 def _state(m: MultiScaleStab) -> TiltState:
-    return TiltState(m.top, [m.charge(i) for i in range(m.L + 1)], m.level_sets)
+    return TiltState(m.top, [m.charge(i) for i in range(m.L + 1)])
 
 
 def _freeze(st: TiltState) -> MultiScaleStab:
     return MultiScaleStab(
         st.heart,
-        tuple(st.levels),
+        tuple(frozenset(st.lset(i)) for i in range(1, st.L + 1)),
         tuple(tuple(sorted(st.level(i).items())) for i in range(st.L + 1)),
     )
 
@@ -384,11 +384,8 @@ def _plumb_state(st: TiltState, finite: list[tuple[int, Fraction, Fraction]]) ->
 # Commutation defect
 
 
-def _in_basis_value(heart: Heart, charge: dict[int, ExactComplex], cls) -> ExactComplex:
-    v = class_value(heart, charge, cls)
-    if v is None:
-        raise MscError("class outside the heart's lattice span")
-    return v
+def _complex_text(re: Fraction, im: Fraction) -> str:
+    return f"{re}{'-' if im < 0 else '+'}{abs(im)}i"
 
 
 def is_intermediate(h: Heart, base: Heart) -> bool:
@@ -418,7 +415,8 @@ def commutation_defect(m: MultiScaleStab, lam, tau, tol: float = 1e-9) -> Defect
     Requires one level below zero and 0 <= Re(lam), 0 <= Re(tau),
     Re(lam + tau) < 1.  The defect is measured against the coarse bound
     ell * |e^(-i*pi*(lam+tau))| * sum of the lower-level simple masses, with
-    ell the number of indecomposable classes of the level-0 quotient.
+    ell the number of indecomposable classes of the level-0 quotient.  A
+    float estimate that overflows raises MscError naming lam and tau.
     """
     if m.L != 1:
         raise MscError("the commutation defect is defined for one level below zero")
@@ -439,14 +437,20 @@ def commutation_defect(m: MultiScaleStab, lam, tau, tol: float = 1e-9) -> Defect
         raise AssertionError("defect hearts must be intermediate for the base heart")
     cht, chh = sigma_tilde.charge(0), sigma_hat.charge(0)
     per = tuple(
-        (l, abs(_in_basis_value(sigma_tilde.top, cht, c) - _in_basis_value(sigma_hat.top, chh, c)))
+        (l, abs(class_value(sigma_tilde.top, cht, c) - class_value(sigma_hat.top, chh, c)))
         for l, c in sorted(zip(m.top.labels, m.top.classes))
     )
     worst = max(d for _, d in per)
     ell = len(enumerate_strings(restrict(m.top.ext, sorted(m.quotient_labels(0)))))
-    scale = math.exp(math.pi * (lim_ + tim))
+    try:
+        scale = math.exp(math.pi * (lim_ + tim))
+    except OverflowError:
+        scale = math.inf
     lower = sum(abs(v) for l, v in m.charge(1).items())
     bound = ell * scale * lower
+    if not all(math.isfinite(x) for x in (bound, *(d for _, d in per))):
+        raise MscError(f"the defect at lam = {_complex_text(lre, lim_)}, "
+                       f"tau = {_complex_text(tre, tim)} leaves the float range")
     within = worst <= bound * (1 + tol) + tol
     return DefectResult(sigma_tilde, sigma_hat, worst, bound, within, per)
 

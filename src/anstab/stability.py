@@ -169,8 +169,9 @@ def validate(heart: Heart, values: Mapping[int, object]) -> StabilityCondition:
 class TiltState:
     """The one settle/tilt engine: a heart carrying nested level charges.
 
-    ``levels`` lists the label subsets N_1 > ... > N_L and ``charges[i]`` the
-    values on N_i (the zero-level case is a plain stability condition).
+    ``charges[i]`` maps the labels N_i of level i to their values, N_0 (all
+    simples) > N_1 > ... > N_L (the zero-level case is a plain stability
+    condition).
     Values are ``ExactComplex`` charges or, for degeneration limits,
     ``exact.Laurent`` families with ExactComplex coefficients; the engine
     needs ``+``, unary ``-``, ``is_zero``, ``in_upper_semiclosed``,
@@ -193,10 +194,8 @@ class TiltState:
     value lies in H, against one cap of 80n^2 + 16.
     """
 
-    def __init__(self, heart: Heart, charges, levels=()):
+    def __init__(self, heart: Heart, charges):
         self._heart, self._state = heart, None
-        self.labels = frozenset(heart.labels)
-        self.levels: list[frozenset[int]] = list(levels)
         levels_factored = [factor(ch) or (None, ch) for ch in charges]
         self.factors = [key for key, _ in levels_factored]
         self.charges = [dict(ch) for _, ch in levels_factored]
@@ -221,14 +220,11 @@ class TiltState:
 
     @property
     def L(self) -> int:
-        return len(self.levels)
+        return len(self.charges) - 1
 
-    def lset(self, i: int) -> frozenset[int]:
-        if i == 0:
-            return self.labels
-        if i <= self.L:
-            return self.levels[i - 1]
-        return frozenset()
+    def lset(self, i: int):
+        """N_i, the labels level i's charge is defined on; empty below L."""
+        return self.charges[i].keys() if i <= self.L else frozenset()
 
     def tilt(self, s: int, direction: int) -> None:
         gain = self._tables().tilt(s, direction)
@@ -266,14 +262,10 @@ class TiltState:
             self.charges[i], self.factors[i] = self.level(i), None
         for l in sorted(self.lset(j) - self.lset(j + 1)):
             self.charges[j - 1][l] = self.charges[j][l]
-        del self.charges[j], self.factors[j], self.levels[j - 1]
+        del self.charges[j], self.factors[j]
 
     def depth_of(self, s: int) -> int:
-        d = 0
-        for k in range(1, self.L + 1):
-            if s in self.lset(k):
-                d = k
-        return d
+        return max((k for k in range(1, self.L + 1) if s in self.charges[k]), default=0)
 
     def protected_tilt(self, s: int) -> list[tuple[int, int]]:
         """Forward tilt of the depth(s)-quotient at s, preserving all deeper

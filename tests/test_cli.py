@@ -621,6 +621,14 @@ class TestExitCodes:
             ["c-act", a2_sigma([-1, 1, 1, 1]), "--lam", "i^2"],
             ["c-act", a2_sigma([-1, 1, 1, 1]), "--lam", "3/4/5"],
             ["c-act", a2_sigma([-1, 1, 1, 1]), "--lam", "1/2i/3"],
+            # a tilt step is one optional sign and ASCII digits
+            ["tilt", "--heart", "A3", "--word=+-2"],
+            ["tilt", "--heart", "A3", "--word=--2"],
+            ["tilt", "--heart", "A3", "--word=-+2"],
+            ["tilt", "--heart", "A10", "--word", "1_0"],
+            # provenance is an object
+            ["tilt", "--heart", json.dumps(dict(A2_HEART, provenance=5)), "--word", "2"],
+            ["tilt", "--heart", json.dumps(dict(A2_HEART, provenance=[])), "--word", "2"],
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv):
@@ -628,6 +636,14 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("usage error: ")
         assert err.count("\n") == 1
+
+    def test_defect_beyond_the_float_range_is_failure(self, capsys, monkeypatch):
+        _, limit, _ = run(capsys, "limit", "--heart", "A2", "--family", "(-1+it, 1+it)")
+        code, out, err = piped(capsys, monkeypatch, limit, "defect", "-",
+                               "--lam", "300i", "--tau", "1/4-3i")
+        assert (code, out) == (1, "")
+        assert err == ("validation failure: the defect at lam = 0+300i, tau = 1/4-3i "
+                       "leaves the float range\n")
 
     def test_family_labels_are_listed_in_numeric_order(self, capsys):
         family = {str(l): [[0, 1, 1, 1, 1]] for l in range(1, 12)}

@@ -130,6 +130,14 @@ class TestExtractLimit:
                 standard_heart(2), LaurentCharge.build({1: {0: gr(0, 1)}})
             )
 
+    @pytest.mark.parametrize("labels, given", [((1, 2, 7), "1, 2, 7"), ((1,), "1")])
+    def test_families_sit_on_exactly_the_simples(self, labels, given):
+        zc = LaurentCharge.build({l: {0: gr(0, 1)} for l in labels})
+        message = f"family labels {given} are not the heart's simples 1, 2"
+        with pytest.raises(exact.AnstabError, match=message) as info:
+            extract_limit(standard_heart(2), zc)
+        assert info.value.exit_code == 2
+
 
 def random_admissible_family(rng, labels):
     """Per label 1-3 terms with exponents in -1..3.  The lowest term is in H

@@ -651,10 +651,10 @@ class TestTwistCoherence:
         assert in_neighborhood(p2, m, spec).accepted
         assert p1.charge(0)[1] == p2.charge(0)[1]  # quotient simple untouched
         sign = EC.unit(ell % 2)
-        from anstab.multiscale import _in_basis_value
+        from anstab.stability import class_value
 
         for l in (2, 3):
             cls = m.top.cls(l)
-            v1 = _in_basis_value(p1.top, p1.charge(0), cls)
-            v2 = _in_basis_value(p2.top, p2.charge(0), cls)
+            v1 = class_value(p1.top, p1.charge(0), cls)
+            v2 = class_value(p2.top, p2.charge(0), cls)
             assert v2 == sign * v1

@@ -248,6 +248,17 @@ class TestPoset:
         assert list(got_keyed.items()) == list(keyed.items())
         assert got_relation == relation
 
+    @pytest.mark.parametrize("n, max_levels", [(n, L) for n in range(1, 6) for L in (1, 2)] + [(4, 3)])
+    def test_labeled_poset_forgets_to_the_type_poset(self, n, max_levels):
+        gs = enumerate_graphs(n, max_levels)
+        keyed, rel = adjacency_poset(gs, labeled=True)
+        assert len(keyed) == len(gs)
+        forget = {k: canonical_key(g) for k, g in keyed.items()}
+        types, type_rel = adjacency_poset([rep for _, _, rep in census_types(n, max_levels)])
+        assert set(forget.values()) == set(types)
+        assert {(forget[k], forget[u]) for k in rel for u in rel[k]} == {
+            (k, u) for k in type_rel for u in type_rel[k]}
+
     def test_single_graph(self):
         g = enumerate_graphs(2, 1)[:1]
         keyed, rel = adjacency_poset(g)
