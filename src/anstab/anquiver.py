@@ -1,10 +1,11 @@
 """Quivers with potential of A_n type.
 
-A quiver is stored as a vertex set, an arrow list, and the set of oriented
-3-cycles contributed by the potential (each 3-cycle is a triple of arrows
-closing up head-to-tail).  In the A_n mutation class the potential is a sum
-of such 3-cycles and every arrow lies in at most one of them; both facts are
-enforced at construction and after every mutation.
+A quiver is stored as a vertex set and an arrow list.  Its potential is the
+sum of its oriented 3-cycles (each a triple of arrows closing up
+head-to-tail), so ``cycles`` is derived from the arrows.  ``build`` checks
+Buan and Vatne's local criterion for the A_n mutation class on every
+component; mutation is Fomin-Zelevinsky matrix mutation, which stays in the
+class (Keller and Yang: a simple tilt mutates the ext-quiver this way).
 
 Conventions.  An arrow v -> w in the ext-quiver of a heart means
 dim Ext^1(S_v, S_w) = 1.  The Euler pairing on simple classes is then
@@ -14,7 +15,9 @@ forced by the CY3 duality  hom - ext^1 + ext^1(op) - hom(op).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .exact import AnstabError
@@ -22,10 +25,6 @@ from .exact import AnstabError
 
 class QuiverError(AnstabError):
     pass
-
-
-class StringCapExceeded(QuiverError):
-    """A string walk met a vertex twice, which no A_n-type quiver allows."""
 
 
 Arrow = tuple[int, int]
@@ -49,7 +48,6 @@ def _canon_cycle(cycle: Sequence[Arrow]) -> Cycle:
 class QuiverWithPotential:
     vertices: tuple[int, ...]
     arrows: tuple[Arrow, ...]
-    cycles: frozenset[Cycle]
 
     def __post_init__(self):
         vs = set(self.vertices)
@@ -67,30 +65,49 @@ class QuiverWithPotential:
                 raise QuiverError(f"parallel arrows ({a},{b})")
             seen.add((a, b))
         object.__setattr__(self, "_arrow_set", frozenset(seen))
-        used: dict[Arrow, Cycle] = {}
-        for cyc in self.cycles:
-            if len(cyc) != 3:
-                raise QuiverError("potential terms must be 3-cycles")
-            for i in range(3):
-                if cyc[i] not in seen:
-                    raise QuiverError(f"cycle arrow {cyc[i]} not in the quiver")
-                if cyc[i][1] != cyc[(i + 1) % 3][0]:
-                    raise QuiverError(f"cycle {cyc} does not close up")
-                if cyc[i] in used:
-                    raise QuiverError(f"arrow {cyc[i]} lies in two potential cycles")
-                used[cyc[i]] = cyc
-        object.__setattr__(self, "_cycle", used)
+
+    @cached_property
+    def cycles(self) -> frozenset[Cycle]:
+        """The oriented 3-cycles, each rotated by ``_canon_cycle``: the potential."""
+        succ = {v: [] for v in self.vertices}
+        for a, b in self.arrows:
+            succ[a].append(b)
+        return frozenset(_canon_cycle(((a, b), (b, c), (c, a)))
+                         for a, b in self.arrows for c in succ[b] if (c, a) in self._arrow_set)
 
     # -- constructors
 
     @staticmethod
-    def build(vertices: Iterable[int], arrows: Iterable[Arrow],
-              cycles: Iterable[Sequence[Arrow]] = ()) -> "QuiverWithPotential":
-        return QuiverWithPotential(
-            tuple(sorted(vertices)),
-            tuple(sorted(tuple(a) for a in arrows)),
-            frozenset(_canon_cycle(tuple(map(tuple, c))) for c in cycles),
-        )
+    def build(vertices: Iterable[int], arrows: Iterable[Arrow]) -> "QuiverWithPotential":
+        """The quiver, checked to be of type A on each component (Buan and Vatne):
+        every cycle is an oriented 3-cycle, no arrow lies in two, and a vertex
+        with three or four neighbours has all its arrows but at most one in
+        3-cycles (one 3-cycle for three neighbours, two for four)."""
+        q = QuiverWithPotential(tuple(sorted(vertices)), tuple(sorted(tuple(a) for a in arrows)))
+        on, root = {}, {v: v for v in q.vertices}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for cyc in q.cycles:
+            for x in cyc:
+                if x in on:
+                    raise QuiverError(f"arrow {x} lies in two 3-cycles")
+                on[x] = cyc
+        for x in q.arrows:  # a forest: all arrows but the last of each 3-cycle
+            if x not in on or x != on[x][2]:
+                a, b = find(x[0]), find(x[1])
+                if a == b:
+                    raise QuiverError(f"arrow {x} lies on a cycle that is not an oriented 3-cycle")
+                root[a] = b
+        free = Counter(v for x in q.arrows if x not in on for v in x)
+        for v, d in Counter(v for x in q.arrows for v in x).items():
+            if d > 4 or d > 2 and free[v] > 1:
+                raise QuiverError(f"vertex {v} has {d} neighbours and {free[v]} arrows "
+                                  "outside 3-cycles, which type A does not allow")
+        return q
 
     # -- basic queries
 
@@ -121,9 +138,6 @@ class QuiverWithPotential:
             comps.append(frozenset(comp))
         return sorted(comps, key=min)
 
-    def cycle_of(self, arrow: Arrow) -> Cycle | None:
-        return self._cycle.get(arrow)
-
     # -- serialization
 
     def to_json(self) -> dict:
@@ -135,11 +149,19 @@ class QuiverWithPotential:
 
     @staticmethod
     def from_json(data: dict) -> "QuiverWithPotential":
+        """The inverse of ``to_json``: ``cycles`` (``[]`` when missing) must be
+        the oriented 3-cycles of the arrows."""
         arrows = [tuple(a) for a in data["arrows"]]
         cycles = [[tuple(a) for a in cyc] for cyc in data.get("cycles", [])]
         check_ints(data["vertices"], "vertex")
         check_ints([x for a in arrows + [a for c in cycles for a in c] for x in a], "arrow end")
-        return QuiverWithPotential.build(data["vertices"], arrows, cycles)
+        q = QuiverWithPotential.build(data["vertices"], arrows)
+        given = {_canon_cycle(c) for c in cycles}
+        if extra := sorted(given - q.cycles):
+            raise QuiverError(f"cycle {extra[0]} is not an oriented 3-cycle of the arrows")
+        if missing := sorted(q.cycles - given):
+            raise QuiverError(f"the oriented 3-cycle {missing[0]} is missing from cycles")
+        return q
 
 
 def make_linear(n: int) -> QuiverWithPotential:
@@ -152,21 +174,15 @@ def make_linear(n: int) -> QuiverWithPotential:
 
 
 class MutableQuiver:
-    """A quiver with potential mutated in place: the vertex tuple, the arrow
-    set and the index ``cycle`` from each arrow to its potential 3-cycle.
+    """A quiver mutated in place: the vertex tuple and the arrow set.  Matrix
+    mutation keeps a quiver of type A in its class, so ``freeze`` skips the
+    check that ``QuiverWithPotential.build`` runs."""
 
-    ``mutate`` checks every arrow and cycle it adds against the conditions
-    ``QuiverWithPotential`` enforces (loop, 2-cycle, parallel arrow, arrow in
-    two cycles); the arrows it leaves alone were valid already.  ``freeze``
-    runs the full validating constructor.
-    """
-
-    __slots__ = ("vertices", "arrows", "cycle")
+    __slots__ = ("vertices", "arrows")
 
     def __init__(self, q: QuiverWithPotential):
         self.vertices = q.vertices
         self.arrows = set(q._arrow_set)
-        self.cycle = dict(q._cycle)
 
     def neighbours(self, k: int, direction: int) -> list[int]:
         """The vertices t with an arrow t -> k (direction > 0) or k -> t."""
@@ -175,50 +191,23 @@ class MutableQuiver:
         return [b for a, b in self.arrows if a == k]
 
     def mutate(self, k: int) -> None:
-        """Mutation at the vertex k, with 2-cycle cancellation against the potential.
-
-        For every path a: i -> k, b: k -> j we either add the composite arrow
-        [ab]: i -> j together with the potential 3-cycle ([ab], b*, a*), or,
-        when {a, b} already lie in a potential 3-cycle closed by c: j -> i,
-        cancel the would-be 2-cycle by deleting c and adding nothing.  In the
-        A_n mutation class this reduction is complete: any closing arrow
-        belongs to a potential term with the path, so no 2-cycles survive.
-        """
+        """Matrix mutation at the vertex k: for each path i -> k -> j, delete
+        j -> i if it exists and add i -> j otherwise; then reverse the arrows at k."""
         if k not in self.vertices:
             raise QuiverError(f"unknown vertex {k}")
-        arrows, cycle = self.arrows, self.cycle
-        incoming = [a for a in arrows if a[1] == k]
-        outgoing = [a for a in arrows if a[0] == k]
-        composites = []
-        for a in incoming:
-            cyc = cycle.get(a)
-            for b in outgoing:
-                if cyc is not None and b in cyc:
-                    arrows.discard((b[1], a[0]))
+        arrows = self.arrows
+        incoming, outgoing = self.neighbours(k, +1), self.neighbours(k, -1)
+        for i in incoming:
+            for j in outgoing:
+                if (j, i) in arrows:
+                    arrows.remove((j, i))
                 else:
-                    composites.append((a[0], b[1]))
-        for a in incoming + outgoing:  # cycles through k go, arrows at k turn
-            for x in cycle.pop(a, ()):
-                cycle.pop(x, None)
-            arrows.remove(a)
-        arrows.update((b, a) for a, b in incoming + outgoing)
-        for i, j in composites:
-            if i == j:
-                raise QuiverError(f"loop at vertex {i}")
-            if (j, i) in arrows:
-                raise QuiverError(f"2-cycle between {i} and {j}")
-            if (i, j) in arrows:
-                raise QuiverError(f"parallel arrows ({i},{j})")
-            arrows.add((i, j))
-            cyc = ((i, j), (j, k), (k, i))
-            for x in cyc:
-                if x in cycle:
-                    raise QuiverError(f"arrow {x} lies in two potential cycles")
-                cycle[x] = cyc
+                    arrows.add((i, j))
+        arrows.difference_update([(i, k) for i in incoming] + [(k, j) for j in outgoing])
+        arrows.update([(k, i) for i in incoming] + [(j, k) for j in outgoing])
 
     def freeze(self) -> QuiverWithPotential:
-        cycles = frozenset(map(_canon_cycle, set(self.cycle.values())))
-        return QuiverWithPotential(self.vertices, tuple(sorted(self.arrows)), cycles)
+        return QuiverWithPotential(self.vertices, tuple(sorted(self.arrows)))
 
 
 def mutate(q: QuiverWithPotential, k: int) -> QuiverWithPotential:
@@ -229,13 +218,12 @@ def mutate(q: QuiverWithPotential, k: int) -> QuiverWithPotential:
 
 
 def restrict(q: QuiverWithPotential, subset: Iterable[int]) -> QuiverWithPotential:
-    """Full subquiver on ``subset``; keeps the potential cycles lying inside."""
+    """Full subquiver on ``subset``."""
     sub = set(subset)
     if not sub <= set(q.vertices):
         raise QuiverError("restriction set is not a vertex subset")
     arrows = [a for a in q.arrows if a[0] in sub and a[1] in sub]
-    cycles = [c for c in q.cycles if all(x in arrows for x in c)]
-    return QuiverWithPotential.build(sub, arrows, cycles)
+    return QuiverWithPotential.build(sub, arrows)
 
 
 def euler_pairing(q: QuiverWithPotential, a: Sequence[int], b: Sequence[int]) -> int:
@@ -259,29 +247,25 @@ def enumerate_strings(q: QuiverWithPotential) -> list[tuple[int, ...]]:
     ones included, as sorted 0/1 tuples in ``q.vertices`` order.
 
     A depth-first search extends walks at one end from every vertex, never
-    backtracking and never taking two arrows of one potential 3-cycle in a
-    row in the same direction.  In A_n type no walk meets a vertex twice, so
-    none runs past n - 1 steps, and the walk between two vertices is unique,
-    so a string is its support.  A walk that does meet a vertex twice raises
-    ``StringCapExceeded``.
+    backtracking and never taking two arrows of one 3-cycle in a row in the
+    same direction, that is, never a step whose closing arrow exists.  In A_n
+    type no walk meets a vertex twice, so none runs past n - 1 steps, and
+    the walk between two vertices is unique, so a string is its support.
     """
-    adj: dict[int, list[tuple[int, Arrow, int]]] = {v: [] for v in q.vertices}
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in q.vertices}
     for a, b in q.arrows:
-        adj[a].append((b, (a, b), 1))
-        adj[b].append((a, (a, b), -1))
+        adj[a].append((b, 1))
+        adj[b].append((a, -1))
     found = set()
-    stack = [(v, None, 0, (v,)) for v in q.vertices]
+    stack = [(v, 0, (v,)) for v in q.vertices]
     while stack:
-        end, last, last_d, walk = stack.pop()
+        end, last_d, walk = stack.pop()
         found.add(frozenset(walk))
-        for w, arrow, d in adj[end]:
-            if arrow == last or (d == last_d and arrow in q._cycle.get(last, ())):
+        p = walk[-2] if last_d else None
+        for w, d in adj[end]:
+            if w == p or d == last_d and ((w, p) if d > 0 else (p, w)) in q._arrow_set:
                 continue
-            if w in walk:
-                raise StringCapExceeded(
-                    f"a string walk returns to vertex {w}; the quiver is not of A_n type"
-                )
-            stack.append((w, arrow, d, walk + (w,)))
+            stack.append((w, d, walk + (w,)))
     return sorted(tuple(int(v in s) for v in q.vertices) for s in found)
 
 
@@ -300,8 +284,6 @@ def is_isomorphic(q1: QuiverWithPotential, q2: QuiverWithPotential) -> bool:
     """Isomorphism of quivers with potential (vertex relabeling)."""
     if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
         return False
-    if len(q1.cycles) != len(q2.cycles):
-        return False
     prof1 = sorted(_degree_profile(q1, v) for v in q1.vertices)
     prof2 = sorted(_degree_profile(q2, v) for v in q2.vertices)
     if prof1 != prof2:
@@ -314,12 +296,8 @@ def is_isomorphic(q1: QuiverWithPotential, q2: QuiverWithPotential) -> bool:
     arrows2 = set(q2.arrows)
 
     def extend(i: int, mapping: dict[int, int], used: set[int]) -> bool:
-        if i == len(order):
-            mapped = frozenset(
-                _canon_cycle(tuple((mapping[a], mapping[b]) for (a, b) in cyc))
-                for cyc in q1.cycles
-            )
-            return mapped == q2.cycles
+        if i == len(order):  # the arrows correspond, so the 3-cycles do
+            return True
         v = order[i]
         for w in by_prof[_degree_profile(q1, v)]:
             if w in used:

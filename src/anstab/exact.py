@@ -246,6 +246,10 @@ def _enclose(f, r: Fraction) -> tuple[float, float]:
         ends = f(iv.pi * _iv_frac(r))._mpi_
     finally:
         iv.prec = old
+    if any(man and exp + bc > 1024 for _, man, exp, bc in ends):  # |end| >= 2^1024
+        return inf, inf
+    if all(exp + bc < -1074 for _, _, exp, bc in ends):  # |f| < 2^-1074
+        return 0.0, 2.0 ** -1074
     lo, hi = ((-1) ** sign * int(man) * Fraction(2) ** exp for sign, man, exp, _ in ends)
     try:
         mid = float((lo + hi) / 2)
@@ -573,7 +577,7 @@ class ExactComplex:
     def to_json(self):
         """A Gaussian value as ``[a, b, c, d]``, one atom as ``{"rot", "scale",
         "gauss"}``, a sum of atoms as ``{"atoms": [...], "re", "im"}`` whose
-        floats are only a derived approximation."""
+        floats are only a derived approximation, left out when not finite."""
         g = self.as_gaussian()
         if g is not None:
             return g.to_json()
@@ -584,7 +588,7 @@ class ExactComplex:
         if len(atoms) == 1:
             return atoms[0]
         z = complex(self)
-        return {"atoms": atoms, "re": z.real, "im": z.imag}
+        return {"atoms": atoms, **{k: x for k, x in (("re", z.real), ("im", z.imag)) if isfinite(x)}}
 
     @classmethod
     def from_json(cls, data) -> "ExactComplex":

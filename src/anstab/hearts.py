@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .anquiver import MutableQuiver, QuiverWithPotential, _canon_cycle, check_ints, make_linear
+from .anquiver import MutableQuiver, QuiverWithPotential, check_ints, make_linear
 from .exact import AnstabError, det_adjugate
 
 
@@ -175,30 +175,13 @@ def apply_tilt_word(h: Heart, word: Iterable[tuple[int, int]]) -> Heart:
     return state.freeze()
 
 
-def tilt_torsion_free(h: Heart, gens: Sequence[KClass]) -> Heart:
-    """Composite forward tilt along a list of classes, each simple at its step.
-
-    ``gens[k]`` must be the class of a simple of the heart reached after
-    tilting at gens[0..k-1]; the composite realizes the torsion-free class
-    generated by the gens.
-    """
-    for step, g in enumerate(gens):
-        g = tuple(g)
-        matches = [l for l, c in zip(h.labels, h.classes) if c == g]
-        if not matches:
-            raise HeartError(
-                f"step {step}: class {g} is not simple in the current heart"
-            )
-        h = forward_tilt(h, matches[0])
-    return h
-
-
 # ---------------------------------------------------------------------------
 # Canonical form and equality
 
 
 def canonical_form(h: Heart):
-    """Classes sorted lexicographically together with the induced ext-quiver.
+    """Classes sorted lexicographically together with the induced ext-quiver
+    arrows, which determine its 3-cycles.
 
     The global shift bookkeeping is not part of the canonical form: a heart
     and its double shift have equal shadows.
@@ -207,11 +190,7 @@ def canonical_form(h: Heart):
     relabel = {h.labels[i]: pos for pos, i in enumerate(order)}
     classes = tuple(h.classes[i] for i in order)
     arrows = tuple(sorted((relabel[a], relabel[b]) for (a, b) in h.ext.arrows))
-    cycles = frozenset(
-        _canon_cycle(tuple((relabel[a], relabel[b]) for (a, b) in cyc))
-        for cyc in h.ext.cycles
-    )
-    return (classes, arrows, cycles)
+    return (classes, arrows)
 
 
 def heart_equal(h1: Heart, h2: Heart) -> bool:

@@ -126,24 +126,6 @@ def _h_window_label(values: Sequence[tuple[int, ExactComplex]]) -> int | None:
                  if not any(ch[a].cross_signs(ch[b]) in in_h for b in ch if b != a)), None)
 
 
-def _check_type_constraints(top: Heart, chain: list[frozenset[int]]) -> None:
-    for i in range(1, len(chain)):
-        ambient_comps = top.ext.components(chain[i - 1])
-        for comp in ambient_comps:
-            sub = chain[i] & comp
-            if not sub or sub == comp:
-                continue
-            parts = top.ext.components(sub)
-            total = sum(len(p) + 1 for p in parts)
-            if total > len(comp) + 1 or (
-                total == len(comp) + 1 and len(parts) < 2
-            ):
-                raise MscError(
-                    f"level {i} vanishing subset {sorted(sub)} has an invalid "
-                    f"component type inside {sorted(comp)}"
-                )
-
-
 def validate_msc(top: Heart, level_charges: Sequence[Mapping[int, object]]) -> MultiScaleStab:
     """Validate the top heart's basis and the level charges, and assemble the
     multi-scale object.
@@ -191,7 +173,6 @@ def validate_msc(top: Heart, level_charges: Sequence[Mapping[int, object]]) -> M
                 f"level {i} charge admits no rotation into the semi-closed "
                 "upper half plane"
             )
-    _check_type_constraints(top, chain)
     return MultiScaleStab(
         top,
         tuple(chain[1:]),

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,6 @@ from hypothesis import given, strategies as st
 from anstab.anquiver import (
     QuiverError,
     QuiverWithPotential,
-    StringCapExceeded,
     enumerate_strings,
     euler_pairing,
     is_isomorphic,
@@ -166,14 +166,6 @@ class TestStrings:
                         support = [v for v, x in zip(sub.vertices, dv) if x]
                         assert len(sub.components(support)) == 1
 
-    def test_cap_guards_wild_input(self):
-        # a 3-cycle without potential is not A_n-type: walks never terminate
-        wild = QuiverWithPotential.build(
-            [1, 2, 3], [(1, 2), (2, 3), (3, 1)], []
-        )
-        with pytest.raises(StringCapExceeded):
-            enumerate_strings(wild)
-
 
 def _naive_path_census(q):
     """Independent count: relation-avoiding paths in the underlying graph."""
@@ -205,14 +197,48 @@ def _path_allowed(q, a, b, c):
     s1, s2 = step(a, b), step(b, c)
     if s1 is None or s2 is None:
         return False
-    (e1, d1), (e2, d2) = s1, s2
-    if d1 > 0 and d2 > 0:
-        cyc = q.cycle_of(e1)
-        return not (cyc is not None and e2 in cyc)
+    (_, d1), (_, d2) = s1, s2
+    if d1 > 0 and d2 > 0:  # a -> b -> c lies in a 3-cycle when c -> a closes it
+        return (c, a) not in q.arrows
     if d1 < 0 and d2 < 0:
-        cyc = q.cycle_of(e2)
-        return not (cyc is not None and e1 in cyc)
+        return (a, c) not in q.arrows
     return True
+
+
+class TestTypeACheck:
+    @pytest.mark.parametrize("n, size", [(1, 1), (2, 2), (3, 14), (4, 144), (5, 1980)])
+    def test_build_accepts_exactly_the_mutation_class(self, n, size):
+        """Among the connected quivers on 1..n without 2-cycles, ``build``
+        accepts exactly the labeled mutation class of the linear quiver."""
+        mutation_class, frontier = {make_linear(n)}, [make_linear(n)]
+        while frontier:
+            q = frontier.pop()
+            for k in q.vertices:
+                if (m := mutate(q, k)) not in mutation_class:
+                    mutation_class.add(m)
+                    frontier.append(m)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        accepted = set()
+        for signs in itertools.product((0, 1, -1), repeat=len(pairs)):
+            arrows = [pair[::sign] for pair, sign in zip(pairs, signs) if sign]
+            try:
+                q = QuiverWithPotential.build(range(1, n + 1), arrows)
+            except QuiverError:
+                continue
+            if len(q.components()) == 1:
+                accepted.add(q)
+        assert len(mutation_class) == size
+        assert accepted == mutation_class
+
+    def test_reader_requires_the_derived_cycles(self):
+        q = mutate(make_linear(3), 2)
+        data = q.to_json()
+        assert data["cycles"] == [[[1, 3], [3, 2], [2, 1]]]
+        assert QuiverWithPotential.from_json(dict(data, cycles=[[[3, 2], [2, 1], [1, 3]]])) == q
+        missing = re.escape("3-cycle ((1, 3), (3, 2), (2, 1)) is missing from cycles")
+        for bad in (dict(data, cycles=[]), {k: v for k, v in data.items() if k != "cycles"}):
+            with pytest.raises(QuiverError, match=missing):
+                QuiverWithPotential.from_json(bad)
 
 
 class TestSerialization:

@@ -4,6 +4,7 @@ import os
 import random
 import re
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -645,6 +646,33 @@ class TestExitCodes:
         assert err == ("validation failure: the defect at lam = 0+300i, tau = 1/4-3i "
                        "leaves the float range\n")
 
+    def test_output_beyond_the_float_range_is_strict_json(self, capsys):
+        """The derived floats of a sum of atoms are left out once they leave
+        the double range, so no ``Infinity`` reaches the output."""
+        two_atoms = {"atoms": [{"rot": [1, 7], "scale": [0, 1], "gauss": [0, 1, 1, 1]},
+                               {"rot": [1, 5], "scale": [0, 1], "gauss": [1, 1, 1, 1]}]}
+        code, out, err = run(capsys, "c-act", a2_sigma(two_atoms), "--lam", "300i")
+        assert (code, err) == (0, "")
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        charge = json.loads(out, parse_constant=refuse)["result"]["charge"]["1"]
+        assert len(charge["atoms"]) == 2 and "re" not in charge and "im" not in charge
+
+    @pytest.mark.parametrize("scale", [10**30, -10**30])
+    def test_plumb_at_a_huge_scale_finishes(self, capsys, scale):
+        """The sign filter reads an enclosure's size from its exponent before
+        it builds the exact ends, so e^(pi * 10^30) costs no more than e^pi."""
+        two_atom = json.loads(a2_msc_deep({"atoms": [
+            {"rot": [1, 7], "scale": [-1, 1], "gauss": [1, 1, 0, 1]},
+            {"rot": [1, 5], "scale": [scale, 1], "gauss": [1, 1, 1, 1]}]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "plumb", json.dumps(two_atom), "--tau", "1/4-2i")
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        assert MultiScaleStab.from_json(json.loads(out)["result"])
+
     def test_family_labels_are_listed_in_numeric_order(self, capsys):
         family = {str(l): [[0, 1, 1, 1, 1]] for l in range(1, 12)}
         code, out, err = run(capsys, "limit", "--heart", "A10", "--family", json.dumps(family))
@@ -700,19 +728,26 @@ class TestExitCodes:
             (2, [[1, 1]], [], "loop at vertex 1"),
             (2, [[1, 3]], [], "arrow (1,3) leaves the vertex set"),
             (2, [[1, 2], [1, 2]], [], "parallel arrows (1,2)"),
-            (2, [[1, 2]], [[[1, 2]]], "potential terms must be 3-cycles"),
+            (2, [[1, 2]], [[[1, 2]]], "cycle ((1, 2),) is not an oriented 3-cycle of the arrows"),
             (3, [[1, 2], [2, 3]], [[[1, 2], [2, 3], [3, 1]]],
-             "cycle arrow (3, 1) not in the quiver"),
+             "cycle ((1, 2), (2, 3), (3, 1)) is not an oriented 3-cycle of the arrows"),
             (3, [[1, 2], [2, 3], [1, 3]], [[[1, 2], [2, 3], [1, 3]]],
-             "cycle ((1, 2), (2, 3), (1, 3)) does not close up"),
+             "arrow (2, 3) lies on a cycle that is not an oriented 3-cycle"),
             (4, [[1, 2], [2, 3], [3, 1], [3, 4], [4, 2]],
              [[[1, 2], [2, 3], [3, 1]], [[2, 3], [3, 4], [4, 2]]],
-             "arrow (2, 3) lies in two potential cycles"),
+             "arrow (2, 3) lies in two 3-cycles"),
+            (4, [[1, 3], [2, 3], [3, 4]], [],
+             "vertex 3 has 3 neighbours and 3 arrows outside 3-cycles, which type A does not allow"),
+            (3, [[1, 2], [2, 3], [3, 1]], [],
+             "the oriented 3-cycle ((1, 2), (2, 3), (3, 1)) is missing from cycles"),
+            (3, [[1, 2], [3, 2]], [[[1, 2], [2, 3], [3, 1]]],
+             "cycle ((1, 2), (2, 3), (3, 1)) is not an oriented 3-cycle of the arrows"),
         ],
     )
     def test_quiver_errors_say_where(self, capsys, n, arrows, cycles, where):
-        """Heart JSON whose ext-quiver breaks a quiver rule exits 2 with one
-        line naming the rule."""
+        """Heart JSON whose ext-quiver breaks a quiver rule, is not of mutation
+        type A (the D4 tree) or lists other cycles than the oriented 3-cycles
+        of its arrows exits 2 with one line naming the vertex or arrow."""
         heart = standard_heart(n).to_json()
         heart["extquiver"].update(arrows=arrows, cycles=cycles)
         code, _, err = run(capsys, "tilt", "--heart", json.dumps(heart), "--word", "1")

@@ -19,7 +19,6 @@ from anstab.hearts import (
     hearts_in_interval,
     shift_heart,
     standard_heart,
-    tilt_torsion_free,
 )
 from anstab.klattice import twist_matrix
 
@@ -149,30 +148,6 @@ class TestTilts:
                             for k in range(len(h.labels))
                         )
                         assert hh.cls(l) == expected
-
-
-class TestTorsionFreeTilt:
-    def test_empty(self):
-        h = standard_heart(2)
-        assert tilt_torsion_free(h, []) == h
-
-    def test_single_step(self):
-        h = standard_heart(2)
-        assert heart_equal(tilt_torsion_free(h, [(0, 1)]), forward_tilt(h, 2))
-
-    def test_twist_relation(self):
-        # tilt at S2 then at its shift realizes the inverse twist on classes
-        h = standard_heart(2)
-        out = tilt_torsion_free(h, [(0, 1), (0, -1)])
-        m = twist_matrix(h.ext, 2, -1)
-        assert sorted(out.classes) == sorted(
-            (m.apply((1, 0)), m.apply((0, 1)))
-        )
-
-    def test_not_simple_reports_step(self):
-        h = standard_heart(2)
-        with pytest.raises(HeartError, match="step 1"):
-            tilt_torsion_free(h, [(0, 1), (1, 0)])
 
 
 class TestConvenientRepresentative:
