@@ -37,6 +37,10 @@ def check_ints(xs: Iterable, what: str) -> None:
         raise QuiverError(f"{what} {bad[0]!r} is not an integer")
 
 
+def _is_pair(x) -> bool:
+    return isinstance(x, list) and len(x) == 2
+
+
 def _canon_cycle(cycle: Sequence[Arrow]) -> Cycle:
     """Rotate a 3-cycle so its lexicographically smallest arrow comes first."""
     cycle = tuple(cycle)
@@ -149,12 +153,23 @@ class QuiverWithPotential:
 
     @staticmethod
     def from_json(data: dict) -> "QuiverWithPotential":
-        """The inverse of ``to_json``: ``cycles`` (``[]`` when missing) must be
-        the oriented 3-cycles of the arrows."""
-        arrows = [tuple(a) for a in data["arrows"]]
-        cycles = [[tuple(a) for a in cyc] for cyc in data.get("cycles", [])]
+        """The inverse of ``to_json``: ``arrows`` is a list of ``[tail, head]``
+        pairs, and ``cycles`` (``[]`` when missing), lists of three such pairs,
+        must be the oriented 3-cycles of the arrows."""
+        arrows, cycles = data["arrows"], data.get("cycles", [])
+        for what, xs in (("arrows", arrows), ("cycles", cycles)):
+            if not isinstance(xs, list):
+                raise QuiverError(f"{what} {xs!r} is not a list")
+        if bad := [a for a in arrows if not _is_pair(a)]:
+            raise QuiverError(f"arrow {bad[0]!r} is not a pair [tail, head]")
+        if bad := [c for c in cycles if not (isinstance(c, list) and all(map(_is_pair, c)))]:
+            raise QuiverError(f"cycle {bad[0]!r} is not a list of [tail, head] arrows")
+        arrows = [tuple(a) for a in arrows]
+        cycles = [tuple(tuple(a) for a in cyc) for cyc in cycles]
         check_ints(data["vertices"], "vertex")
         check_ints([x for a in arrows + [a for c in cycles for a in c] for x in a], "arrow end")
+        if bad := [c for c in cycles if len(c) != 3]:
+            raise QuiverError(f"cycle {bad[0]} is not an oriented 3-cycle of the arrows")
         q = QuiverWithPotential.build(data["vertices"], arrows)
         given = {_canon_cycle(c) for c in cycles}
         if extra := sorted(given - q.cycles):

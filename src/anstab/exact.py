@@ -155,18 +155,8 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n2 = other.norm2()
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        c = self * other.conj()
-        return GaussianRational(Fraction(c.re, n2), Fraction(c.im, n2))
-
     def conj(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
         return not (self.re or self.im)

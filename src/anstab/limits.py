@@ -58,12 +58,6 @@ class LaurentCharge:
             for l, f in values.items()
         )))
 
-    def family(self, label: int) -> Laurent:
-        for l, f in self.families:
-            if l == label:
-                return f
-        raise LimitError(f"no family for simple {label}")
-
     def to_json(self) -> dict:
         """Per simple, its terms: ``[k, a, b, c, d]`` for a Gaussian coefficient
         (a/b + (c/d) i) t^k, else ``[k, v]`` with v the coefficient's charge

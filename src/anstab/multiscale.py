@@ -1,12 +1,15 @@
 """Multi-scale stability conditions: nested hearts with per-level charges.
 
-A multi-scale object is a top heart A_0 together with label subsets
-N_1 > N_2 > ... > N_L and charges Z_0, ..., Z_L, where Z_i is defined on the
-simples of level i and vanishes exactly on those of level i+1.  Each deeper
-level is the Serre subcategory generated by the simples its predecessor's
-charge kills; per level the quotient charge must land in the semi-closed
-upper half plane (on the nose at level 0, up to a complex rescaling per
-deeper level, mirroring the equivalence relation).
+A multi-scale object is a top heart A_0 together with charges Z_0, ..., Z_L,
+where Z_i is defined on the simples of level i and vanishes exactly on those
+of level i+1, so the label sets N_1 > N_2 > ... > N_L are the keys of the
+deeper charges.  Each deeper level is the Serre subcategory generated by the
+simples its predecessor's charge kills; per level the quotient charge must
+land in the semi-closed upper half plane (on the nose at level 0, up to a
+complex rescaling per deeper level, mirroring the equivalence relation).
+``validate_msc`` stores the canonical representative of each deeper level,
+the one whose quotient values lie in the half plane, and every operation
+returns such objects, so none rescales again.
 
 The two structural operations are the rescaled-rotation action (all charges
 multiply by e^(-i*pi*lam); tilts at deeper simples and lifted tilts at
@@ -16,8 +19,8 @@ levels with charge Z_{j-1} + e^(-i*pi*tau) Z_j on the disjoint simple
 decomposition).  Lifted tilts use convenient representatives: tilt forward
 along the chains inside the deeper subset, tilt at the quotient simple, tilt
 backward along the chains; the deeper data returns to its starting state.
-Both run on the tilt engine ``stability.TiltState``: one normalization,
-state and freeze per result, and the defect runs both orders on two states.
+Both run on the tilt engine ``stability.TiltState``: one state and freeze
+per result, and the defect runs both orders on two states.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .anquiver import enumerate_strings, restrict
@@ -54,19 +58,23 @@ LevelCharge = tuple[tuple[int, ExactComplex], ...]
 @dataclass(frozen=True)
 class MultiScaleStab:
     top: Heart
-    level_sets: tuple[frozenset[int], ...]   # N_1 > ... > N_L
-    charges: tuple[LevelCharge, ...]         # length L+1; keys of charges[i] = N_i
+    charges: tuple[LevelCharge, ...]   # length L+1; keys of charges[i] = N_i
+
+    @cached_property
+    def _label_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(l for l, _ in ch) for ch in self.charges)
 
     @property
     def L(self) -> int:
-        return len(self.level_sets)
+        return len(self.charges) - 1
+
+    @property
+    def level_sets(self) -> tuple[frozenset[int], ...]:
+        """N_1 > ... > N_L."""
+        return self._label_sets[1:]
 
     def labels(self, i: int) -> frozenset[int]:
-        if i == 0:
-            return frozenset(self.top.labels)
-        if i <= self.L:
-            return self.level_sets[i - 1]
-        return frozenset()
+        return self._label_sets[i] if i <= self.L else frozenset()
 
     def quotient_labels(self, i: int) -> frozenset[int]:
         return self.labels(i) - self.labels(i + 1)
@@ -128,11 +136,12 @@ def _h_window_label(values: Sequence[tuple[int, ExactComplex]]) -> int | None:
 
 def validate_msc(top: Heart, level_charges: Sequence[Mapping[int, object]]) -> MultiScaleStab:
     """Validate the top heart's basis and the level charges, and assemble the
-    multi-scale object.
+    multi-scale object as its canonical representative.
 
     The vanishing chain is derived from the zero sets: N_{i+1} is where Z_i
     vanishes, and charges[i+1] must be given exactly on N_{i+1}.  Level 0 must
-    be honestly half-plane valued; deeper levels only up to one rotation.
+    be honestly half-plane valued; deeper levels only up to one rotation,
+    which ``normalize_representative`` applies.
     """
     top.check_basis()
     if not level_charges:
@@ -140,9 +149,8 @@ def validate_msc(top: Heart, level_charges: Sequence[Mapping[int, object]]) -> M
     charges = [
         {int(l): as_exact_value(v) for l, v in lc.items()} for lc in level_charges
     ]
-    chain: list[frozenset[int]] = [frozenset(top.labels)]
+    expected = frozenset(top.labels)
     for i, ch in enumerate(charges):
-        expected = chain[-1]
         if frozenset(ch) != expected:
             raise MscError(
                 f"level {i} charge must be defined exactly on {sorted(expected)}"
@@ -150,34 +158,19 @@ def validate_msc(top: Heart, level_charges: Sequence[Mapping[int, object]]) -> M
         zero = frozenset(l for l, v in ch.items() if v.is_zero())
         if zero == expected:
             raise MscError(f"level {i} charge is identically zero")
-        chain.append(zero)
-    if chain[-1]:
+        expected = zero
+    if expected:
         raise MscError(
-            f"deepest level still vanishes on {sorted(chain[-1])}: a further "
+            f"deepest level still vanishes on {sorted(expected)}: a further "
             "level charge is missing"
         )
-    chain.pop()  # drop the empty terminal set
-    # half-plane conditions
-    for l, v in sorted(charges[0].items()):
-        if (len(chain) == 1 or l not in chain[1]) and not v.in_upper_semiclosed():
+    m = MultiScaleStab(top, tuple(tuple(sorted(ch.items())) for ch in charges))
+    for l in sorted(m.quotient_labels(0)):
+        if not charges[0][l].in_upper_semiclosed():
             raise MscError(
                 f"level 0 simple {l} maps outside the semi-closed upper half plane"
             )
-    for i in range(1, len(charges)):
-        deeper = chain[i + 1] if i + 1 < len(chain) else frozenset()
-        vals = sorted(
-            (l, v) for l, v in charges[i].items() if l not in deeper
-        )
-        if _h_window_label(vals) is None:
-            raise MscError(
-                f"level {i} charge admits no rotation into the semi-closed "
-                "upper half plane"
-            )
-    return MultiScaleStab(
-        top,
-        tuple(chain[1:]),
-        tuple(tuple(sorted(ch.items())) for ch in charges),
-    )
+    return normalize_representative(m)
 
 
 def type_rho(m: MultiScaleStab) -> list[tuple[int, ...]]:
@@ -189,29 +182,30 @@ def type_rho(m: MultiScaleStab) -> list[tuple[int, ...]]:
 
 
 def normalize_representative(m: MultiScaleStab) -> MultiScaleStab:
-    """Rotate each deeper level into the semi-closed upper half plane.
+    """Rotate each deeper level into the semi-closed upper half plane: the
+    canonical representative, which ``validate_msc`` stores.
 
-    Levels whose values already sit in the half plane are left alone; the
-    rest are multiplied by -conj(v_a) for the canonical window label a, which
-    lands a on the negative real axis.  Level 0 is never rescaled.
+    A level whose quotient values already sit in the half plane is left
+    alone without a window search, which is sound: the label of largest
+    phase is then a window label.  The rest are multiplied by -conj(v_a) for
+    the window label a, which lands a on the negative real axis, or raise
+    MscError when there is none.  Level 0 is never rescaled.
     """
-    charges = [m.charge(0)]
+    charges = list(m.charges)
     for i in range(1, m.L + 1):
         ch = m.charge(i)
         quot = [(l, ch[l]) for l in sorted(m.quotient_labels(i))]
         if all(v.in_upper_semiclosed() for _, v in quot):
-            charges.append(ch)
             continue
         a = _h_window_label(quot)
         if a is None:
-            raise MscError(f"level {i} admits no rotation into the half plane")
+            raise MscError(
+                f"level {i} charge admits no rotation into the semi-closed "
+                "upper half plane"
+            )
         scal = -(ch[a].conj())
-        charges.append({l: scal * v for l, v in ch.items()})
-    return MultiScaleStab(
-        m.top,
-        m.level_sets,
-        tuple(tuple(sorted(ch.items())) for ch in charges),
-    )
+        charges[i] = tuple((l, scal * v) for l, v in charges[i])
+    return MultiScaleStab(m.top, tuple(charges))
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +301,7 @@ def _state(m: MultiScaleStab) -> TiltState:
 
 def _freeze(st: TiltState) -> MultiScaleStab:
     return MultiScaleStab(
-        st.heart,
-        tuple(frozenset(st.lset(i)) for i in range(1, st.L + 1)),
-        tuple(tuple(sorted(st.level(i).items())) for i in range(st.L + 1)),
+        st.heart, tuple(tuple(sorted(st.level(i).items())) for i in range(st.L + 1))
     )
 
 
@@ -317,11 +309,10 @@ def c_act_msc(m: MultiScaleStab, lam) -> MultiScaleStab:
     """Multiply every level charge by e^(-i*pi*lam) and repair the hearts.
 
     The vanishing chain is preserved; deeper levels are settled first, then
-    lifted tilts fix the quotients.  Deeper levels are normalized into the
-    half plane beforehand (a representative change inside the equivalence
-    class).
+    lifted tilts fix the quotients, so every deeper quotient stays in the
+    half plane and the result is again the canonical representative.
     """
-    st = _state(normalize_representative(m))
+    st = _state(m)
     st.act_from(0, *as_lambda(lam))
     return _freeze(st)
 
@@ -344,7 +335,7 @@ def plumb(m: MultiScaleStab, taus: Sequence) -> MultiScaleStab:
         if im >= 0:
             raise MscError(f"plumbing entry {j} must have negative imaginary part")
         finite.append((j, re, im))
-    st = _state(normalize_representative(m))
+    st = _state(m)
     _plumb_state(st, finite)
     return _freeze(st)
 
@@ -391,8 +382,8 @@ class DefectResult:
 def commutation_defect(m: MultiScaleStab, lam, tau, tol: float = 1e-9) -> DefectResult:
     """Compare lam.(tau*m) against tau*(lam.m) on the level-0 simples.
 
-    Both orders run on states of the one normalized m (settling leaves the
-    deeper quotient in H, so no step needs to normalize again).
+    Both orders run on states of m, whose deeper quotient is in H already
+    (``validate_msc`` stores it so, and settling keeps it there).
     Requires one level below zero and 0 <= Re(lam), 0 <= Re(tau),
     Re(lam + tau) < 1.  The defect is measured against the coarse bound
     ell * |e^(-i*pi*(lam+tau))| * sum of the lower-level simple masses, with
@@ -407,7 +398,6 @@ def commutation_defect(m: MultiScaleStab, lam, tau, tol: float = 1e-9) -> Defect
         raise MscError("need 0 <= Re(lam), 0 <= Re(tau), Re(lam + tau) < 1")
     if tim >= 0:
         raise MscError("tau must have negative imaginary part")
-    m = normalize_representative(m)
     tilde, hat = _state(m), _state(m)
     _plumb_state(tilde, [(1, tre, tim)])
     tilde.act_from(0, lre, lim_)
@@ -463,15 +453,13 @@ def in_neighborhood(
     candidate charge to the base level charge (principal logarithm with
     negative imaginary part; the real part carries the documented
     translation ambiguity, normalized into [0, 2)).  Both objects must live
-    on the same label set; representatives are compared after canonical
-    half-plane normalization.
+    on the same label set; both are canonical representatives already, so
+    they are compared as they are.
     """
     if set(candidate.top.labels) != set(base.top.labels):
         return NeighborhoodVerdict(False, "different underlying label sets")
     if len(spec.delta) != base.L:
         raise MscError("spec.delta must have one entry per base passage")
-    base = normalize_representative(base)
-    candidate = normalize_representative(candidate)
     base_chain = [base.labels(i) for i in range(base.L + 1)]
     cand_chain = [candidate.labels(i) for i in range(candidate.L + 1)]
     positions = []
@@ -583,7 +571,6 @@ def chart_coords(
         else:
             z = complex(Fraction(tau[0]), 0) + 1j * complex(Fraction(tau[1]), 0)
             ts.append(cmath.exp(-2j * cmath.pi * z / ell))
-    point = normalize_representative(point)
     pivots = []
     nonpivot = []
     for i in range(1, point.L + 1):

@@ -102,12 +102,6 @@ class StabilityCondition:
     heart: Heart
     charge: tuple[tuple[int, ExactComplex], ...]  # sorted by label
 
-    def z(self, label: int) -> ExactComplex:
-        for l, v in self.charge:
-            if l == label:
-                return v
-        raise StabilityError(f"unknown simple label {label}")
-
     def charge_dict(self) -> dict[int, ExactComplex]:
         return dict(self.charge)
 

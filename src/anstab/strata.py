@@ -190,10 +190,6 @@ def canonical_key(g: EnhancedLevelGraph, labeled: bool = False):
     return key
 
 
-def smooth_graph(n: int) -> EnhancedLevelGraph:
-    return EnhancedLevelGraph((0,), (-1,), (tuple(range(n + 1)),))
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -264,23 +260,22 @@ def iter_graphs(n: int, max_levels: int) -> Iterator[EnhancedLevelGraph]:
     the vertex-sum rule, so nothing else is chosen, and no graph can repeat
     because it determines its block tree and its level map.  The graphs of
     one tree share its ``parents`` and ``zeros`` tuples, and the trees that
-    share a ``parents`` tuple share its level maps.
+    share a ``parents`` tuple share its level maps, which are checked once
+    to be distinct.
     """
     if n < 1:
         raise StrataError("need at least two zeros")
-    seen = set()
     maps: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     trees = _trees(frozenset(range(n + 1)), max_levels + 1, {})
     next(trees)  # the smooth graph, without an edge
     for parents, zeros in trees:
         if parents not in maps:
             maps[parents] = list(_level_maps(parents, max_levels))
+            if len(set(maps[parents])) != len(maps[parents]):
+                raise AssertionError("duplicate labeled graph generated")
         for levels in maps[parents]:
             g = EnhancedLevelGraph(levels, parents, zeros)
             g.validate()
-            if g in seen:
-                raise AssertionError("duplicate labeled graph generated")
-            seen.add(g)
             yield g
 
 

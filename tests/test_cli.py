@@ -742,12 +742,19 @@ class TestExitCodes:
              "the oriented 3-cycle ((1, 2), (2, 3), (3, 1)) is missing from cycles"),
             (3, [[1, 2], [3, 2]], [[[1, 2], [2, 3], [3, 1]]],
              "cycle ((1, 2), (2, 3), (3, 1)) is not an oriented 3-cycle of the arrows"),
+            (2, [[1, 2]], [[]], "cycle () is not an oriented 3-cycle of the arrows"),
+            (2, [[1, 2]], [[1]], "cycle [1] is not a list of [tail, head] arrows"),
+            (2, [[1, 2]], [1], "cycle 1 is not a list of [tail, head] arrows"),
+            (2, [[1, 2]], "x", "cycles 'x' is not a list"),
+            (2, [[1]], [], "arrow [1] is not a pair [tail, head]"),
+            (2, [[1, 2, 3]], [], "arrow [1, 2, 3] is not a pair [tail, head]"),
         ],
     )
     def test_quiver_errors_say_where(self, capsys, n, arrows, cycles, where):
         """Heart JSON whose ext-quiver breaks a quiver rule, is not of mutation
-        type A (the D4 tree) or lists other cycles than the oriented 3-cycles
-        of its arrows exits 2 with one line naming the vertex or arrow."""
+        type A (the D4 tree), lists other cycles than the oriented 3-cycles
+        of its arrows or holds an entry that is not an arrow or a list of
+        arrows exits 2 with one line naming the vertex, arrow or cycle."""
         heart = standard_heart(n).to_json()
         heart["extquiver"].update(arrows=arrows, cycles=cycles)
         code, _, err = run(capsys, "tilt", "--heart", json.dumps(heart), "--word", "1")

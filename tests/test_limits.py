@@ -253,8 +253,9 @@ class TestPlumbingRay:
         h = standard_heart(2)
         m = validate_msc(h, [{1: gr(0, 1), 2: gr(0)}, {2: gr(-1, 2)}])
         heart, ray = plumbing_ray(m)
-        assert ray.family(1).coeffs == {0: EC.from_gaussian(gr(0, 1))}
-        assert ray.family(2).coeffs == {1: EC.from_gaussian(gr(-1, 2))}
+        families = dict(ray.families)
+        assert families[1].coeffs == {0: EC.from_gaussian(gr(0, 1))}
+        assert families[2].coeffs == {1: EC.from_gaussian(gr(-1, 2))}
 
 
 class TestSerialization:

@@ -262,7 +262,6 @@ class TestPlumb:
         scal = EC.unit(F(1, 4), F(1, 3))
         m2 = MultiScaleStab(
             m1.top,
-            m1.level_sets,
             (m1.charges[0], tuple((l, scal * v) for l, v in m1.charges[1])),
         )
         assert equivalent(m1, m2)
@@ -420,6 +419,49 @@ def test_level_checks_match_the_unfactored_path(monkeypatch):
     assert [outcome(top, charges) for top, charges in inputs] == want
 
 
+def test_validate_stores_the_canonical_representative(monkeypatch):
+    """``validate_msc`` returns every deeper quotient value in H, a fixed
+    point of ``normalize_representative`` that is equivalent to the object
+    before its deeper levels were rescaled, and ``plumb``, ``c_act_msc`` and
+    ``commutation_defect`` never normalize again.  Seeded deeper levels
+    multiplied by a random unit and a Gaussian."""
+    rng = random.Random(43)
+
+    def gauss():
+        while True:
+            g = gr(F(rng.randrange(-6, 7), rng.randrange(1, 4)), rng.randrange(-6, 7))
+            if not g.is_zero():
+                return g
+
+    cases, moved = [], 0
+    while len(cases) < 40:
+        m = random_msc(rng, rng.choice([2, 3, 4, 5]), max_levels=2)
+        if m.L == 0:
+            continue
+        charges = [m.charge(0)]
+        for i in range(1, m.L + 1):
+            scal = EC.unit(F(rng.randrange(-24, 25), 12), F(rng.randrange(-2, 3), 2)) * gauss()
+            charges.append({l: scal * v for l, v in m.charge(i).items()})
+            moved += any(not charges[i][l].in_upper_semiclosed() for l in m.quotient_labels(i))
+        got = validate_msc(m.top, charges)
+        for i in range(1, got.L + 1):
+            assert all(got.charge(i)[l].in_upper_semiclosed() for l in got.quotient_labels(i))
+        assert normalize_representative(got) == got
+        assert equivalent(got, m)
+        cases.append(got)
+    assert moved > 20
+    calls = []
+    monkeypatch.setattr(multiscale, "normalize_representative", calls.append)
+    for m in cases:
+        lam = (F(rng.randrange(0, 4), 8), F(rng.randrange(-4, 5), 4))
+        tau = (F(rng.randrange(0, 4), 8), F(-rng.randrange(1, 9), 3))
+        plumb(m, [tau] + [INFTY] * (m.L - 1))
+        c_act_msc(m, lam)
+        if m.L == 1:
+            commutation_defect(m, lam, tau)
+    assert calls == []
+
+
 class TestDefect:
     def test_requires_one_level(self):
         m = validate_msc(standard_heart(2), [{1: gr(0, 1), 2: gr(0, 1)}])
@@ -438,8 +480,8 @@ class TestDefect:
 
     def test_both_orders_match_the_public_operations(self, monkeypatch):
         """sigma_tilde is lam.(tau*m) and sigma_hat is tau*(lam.m), as the
-        public ``plumb`` and ``c_act_msc`` give them, from one normalization
-        per defect."""
+        public ``plumb`` and ``c_act_msc`` give them, with no normalization:
+        ``validate_msc`` made m canonical."""
         rng = random.Random(41)
         cases = []
         while len(cases) < 40:
@@ -464,7 +506,7 @@ class TestDefect:
         for m, lam, tau in cases:
             calls.clear()
             r = commutation_defect(m, lam, tau)
-            assert len(calls) == 1
+            assert len(calls) == 0
             assert r.sigma_tilde == c_act_msc(plumb(m, [tau]), lam)
             assert r.sigma_hat == plumb(c_act_msc(m, lam), [tau])
 

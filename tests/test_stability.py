@@ -70,7 +70,7 @@ class TestAction:
         s = validate(standard_heart(2), {1: gr(0, 1), 2: gr(0, 1)})
         r = c_act(s, 1)
         assert heart_equal(r.heart, shift_heart(s.heart, 1))
-        assert r.z(1) == EC.rational(0, 1)
+        assert r.charge_dict()[1] == EC.rational(0, 1)
 
     def test_lambda_zero_identity(self):
         s = validate(standard_heart(3), {1: gr(-1, 1), 2: gr(0, 2), 3: gr(2, 1)})

@@ -25,7 +25,6 @@ from anstab.strata import (
     from_msc,
     iter_graphs,
     prong_count,
-    smooth_graph,
     undegenerate,
     unlabeled_census,
 )
@@ -99,7 +98,7 @@ class TestEnumeration:
     def test_pole_order(self):
         g = enumerate_graphs(3, 1)[0]
         assert g.pole_order == -8
-        assert smooth_graph(2).pole_order == -7
+        assert EnhancedLevelGraph((0,), (-1,), ((0, 1, 2),)).pole_order == -7
 
     @pytest.mark.parametrize(
         "n, max_levels, count, digest",
