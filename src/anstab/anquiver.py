@@ -4,8 +4,10 @@ A quiver is stored as a vertex set and an arrow list.  Its potential is the
 sum of its oriented 3-cycles (each a triple of arrows closing up
 head-to-tail), so ``cycles`` is derived from the arrows.  ``build`` checks
 Buan and Vatne's local criterion for the A_n mutation class on every
-component; mutation is Fomin-Zelevinsky matrix mutation, which stays in the
+component.  Mutation is Fomin-Zelevinsky matrix mutation, which stays in the
 class (Keller and Yang: a simple tilt mutates the ext-quiver this way).
+``mutate_arrows`` is its one rule, in place on the arrow set that a tilted
+heart (``hearts.HeartState``) carries; ``mutate`` applies it to a quiver.
 
 Conventions.  An arrow v -> w in the ext-quiver of a heart means
 dim Ext^1(S_v, S_w) = 1.  The Euler pairing on simple classes is then
@@ -188,48 +190,36 @@ def make_linear(n: int) -> QuiverWithPotential:
     )
 
 
-class MutableQuiver:
-    """A quiver mutated in place: the vertex tuple and the arrow set.  Matrix
-    mutation keeps a quiver of type A in its class, so ``freeze`` skips the
-    check that ``QuiverWithPotential.build`` runs."""
+def neighbours(arrows: set, k: int, direction: int) -> list[int]:
+    """The vertices t with an arrow t -> k (direction > 0) or k -> t."""
+    if direction > 0:
+        return [a for a, b in arrows if b == k]
+    return [b for a, b in arrows if a == k]
 
-    __slots__ = ("vertices", "arrows")
 
-    def __init__(self, q: QuiverWithPotential):
-        self.vertices = q.vertices
-        self.arrows = set(q._arrow_set)
-
-    def neighbours(self, k: int, direction: int) -> list[int]:
-        """The vertices t with an arrow t -> k (direction > 0) or k -> t."""
-        if direction > 0:
-            return [a for a, b in self.arrows if b == k]
-        return [b for a, b in self.arrows if a == k]
-
-    def mutate(self, k: int) -> None:
-        """Matrix mutation at the vertex k: for each path i -> k -> j, delete
-        j -> i if it exists and add i -> j otherwise; then reverse the arrows at k."""
-        if k not in self.vertices:
-            raise QuiverError(f"unknown vertex {k}")
-        arrows = self.arrows
-        incoming, outgoing = self.neighbours(k, +1), self.neighbours(k, -1)
-        for i in incoming:
-            for j in outgoing:
-                if (j, i) in arrows:
-                    arrows.remove((j, i))
-                else:
-                    arrows.add((i, j))
-        arrows.difference_update([(i, k) for i in incoming] + [(k, j) for j in outgoing])
-        arrows.update([(k, i) for i in incoming] + [(j, k) for j in outgoing])
-
-    def freeze(self) -> QuiverWithPotential:
-        return QuiverWithPotential(self.vertices, tuple(sorted(self.arrows)))
+def mutate_arrows(arrows: set, k: int) -> None:
+    """Matrix mutation of the arrow set at the vertex k, in place: for each
+    path i -> k -> j, delete j -> i if it exists and add i -> j otherwise;
+    then reverse the arrows at k.  It keeps a quiver of type A in its class,
+    so its result needs no ``QuiverWithPotential.build`` check."""
+    incoming, outgoing = neighbours(arrows, k, +1), neighbours(arrows, k, -1)
+    for i in incoming:
+        for j in outgoing:
+            if (j, i) in arrows:
+                arrows.remove((j, i))
+            else:
+                arrows.add((i, j))
+    arrows.difference_update([(i, k) for i in incoming] + [(k, j) for j in outgoing])
+    arrows.update([(k, i) for i in incoming] + [(j, k) for j in outgoing])
 
 
 def mutate(q: QuiverWithPotential, k: int) -> QuiverWithPotential:
-    """``q`` mutated at the vertex k (see ``MutableQuiver.mutate``)."""
-    m = MutableQuiver(q)
-    m.mutate(k)
-    return m.freeze()
+    """``q`` mutated at the vertex k (see ``mutate_arrows``)."""
+    if k not in q.vertices:
+        raise QuiverError(f"unknown vertex {k}")
+    arrows = set(q._arrow_set)
+    mutate_arrows(arrows, k)
+    return QuiverWithPotential(q.vertices, tuple(sorted(arrows)))
 
 
 def restrict(q: QuiverWithPotential, subset: Iterable[int]) -> QuiverWithPotential:

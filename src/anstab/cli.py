@@ -230,13 +230,15 @@ def _cmd_msc_validate(args) -> dict:
 
 def _cmd_plumb(args) -> dict:
     m = _read(args.input, MS.MultiScaleStab.from_json, "result")
+    parts = [part.strip() for part in args.tau.split(";")]
+    if len(parts) != m.L:
+        raise UsageError(f"--tau takes one entry per level passage: "
+                         f"the object has {m.L}, got {len(parts)}")
     taus = []
-    for part in args.tau.split(";"):
-        part = part.strip()
-        if part in ("inf", "-ioo", "oo", ""):
-            taus.append(MS.INFTY)
-        else:
-            taus.append(parse_rational_complex(part))
+    for j, part in enumerate(parts, start=1):
+        if not part:
+            raise UsageError(f"--tau entry {j} is empty")
+        taus.append(MS.INFTY if part == "inf" else parse_rational_complex(part))
     return {"result": MS.plumb(m, taus).to_json()}
 
 
@@ -391,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("plumb", help="plumb level passages")
     sp.add_argument("input")
-    sp.add_argument("--tau", required=True, help="';'-separated entries; 'inf' skips")
+    sp.add_argument("--tau", required=True, help="one entry per level passage, ';'-separated: "
+                    "a rational complex like '1/4-2i', or 'inf' to leave it unplumbed")
     sp.set_defaults(func=_cmd_plumb)
 
     sp = sub.add_parser("defect", help="commutation defect over a lam/tau grid")

@@ -639,7 +639,7 @@ def phase_cmp_rational(c: GaussianRational, r: Fraction) -> int:
     """Compare phase(c) in (-1, 1] with the rational r reduced mod 2 into
     (-1, 1]: ``cmp_phase`` of c against e^(i*pi*r).  Nothing in the package
     calls it; it stays because the benchmark's tracer (``bench/spans.py``)
-    wraps it by name, until that span is dropped (ROADMAP item 3)."""
+    wraps it by name, until that span is dropped (ROADMAP item 2)."""
     return ExactComplex.from_gaussian(c).cmp_phase(ExactComplex.unit(-r))
 
 

@@ -13,8 +13,10 @@ K-class updates under tilting:
 
 and the ext-quiver mutates at s.  A double forward tilt at the same label
 realizes the inverse twist on all simple classes.  ``HeartState.tilt`` is
-the one place this rule lives: it tilts a heart in place, and ``_tilt`` and
-``apply_tilt_word`` freeze the result into a validated ``Heart``.
+the one place this rule lives: it tilts a heart in place, its ext-quiver an
+arrow set that ``anquiver.mutate_arrows`` mutates.  ``_tilt`` and
+``apply_tilt_word`` freeze the result into a validated ``Heart``, and the
+tilt engine ``stability.TiltState`` is a ``HeartState`` carrying charges.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
-from .anquiver import MutableQuiver, QuiverWithPotential, check_ints, make_linear
+from .anquiver import QuiverWithPotential, check_ints, make_linear, mutate_arrows, neighbours
 from .exact import AnstabError, det_adjugate
 
 
@@ -119,21 +121,21 @@ def standard_heart(n: int) -> Heart:
 
 
 class HeartState:
-    """A heart tilted in place: classes by label, the ext-quiver as a
-    ``MutableQuiver`` and the provenance word as a list.  ``tilt`` is the one
-    K-class rule; ``freeze`` builds the validated ``Heart``."""
+    """A heart tilted in place: classes by label, the ext-quiver's arrow set,
+    the provenance word as a list and the shift.  ``tilt`` is the one K-class
+    rule; ``freeze`` builds the validated ``Heart``."""
 
-    __slots__ = ("labels", "classes", "ext", "word", "shift")
+    __slots__ = ("labels", "classes", "arrows", "word", "shift")
 
     def __init__(self, h: Heart):
         self.labels = h.labels
         self.classes = dict(zip(h.labels, h.classes))
-        self.ext = MutableQuiver(h.ext)
+        self.arrows = set(h.ext._arrow_set)
         self.word = list(h.provenance)
         self.shift = h.shift
 
     def ext1(self, s: int, t: int) -> int:
-        return int((s, t) in self.ext.arrows)
+        return int((s, t) in self.arrows)
 
     def tilt(self, s: int, direction: int) -> list[int]:
         """Tilt at s; returns the labels t that gained one copy of S_s: arrows
@@ -143,17 +145,18 @@ class HeartState:
         if s not in classes:
             raise HeartError(f"unknown simple label {s}")
         cs = classes[s]
-        gain = self.ext.neighbours(s, direction)
+        gain = neighbours(self.arrows, s, direction)
         for t in gain:
             classes[t] = tuple(x + y for x, y in zip(classes[t], cs))
         classes[s] = tuple(-x for x in cs)
-        self.ext.mutate(s)
+        mutate_arrows(self.arrows, s)
         self.word.append((s, direction))
         return gain
 
     def freeze(self) -> Heart:
+        ext = QuiverWithPotential(tuple(sorted(self.labels)), tuple(sorted(self.arrows)))
         return Heart(self.labels, tuple(map(self.classes.__getitem__, self.labels)),
-                     self.ext.freeze(), tuple(self.word), self.shift)
+                     ext, tuple(self.word), self.shift)
 
 
 def _tilt(h: Heart, s: int, direction: int) -> Heart:

@@ -32,7 +32,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .anquiver import enumerate_strings, restrict
 from .exact import AnstabError, ExactComplex
 from .hearts import Heart, canonical_form
 from .klattice import simple_twist_data
@@ -387,8 +386,9 @@ def commutation_defect(m: MultiScaleStab, lam, tau, tol: float = 1e-9) -> Defect
     Requires one level below zero and 0 <= Re(lam), 0 <= Re(tau),
     Re(lam + tau) < 1.  The defect is measured against the coarse bound
     ell * |e^(-i*pi*(lam+tau))| * sum of the lower-level simple masses, with
-    ell the number of indecomposable classes of the level-0 quotient.  A
-    float estimate that overflows raises MscError naming lam and tau.
+    ell the number of indecomposable classes of the level-0 quotient, k(k+1)/2
+    per A_k component.  A float estimate that overflows raises MscError
+    naming lam and tau.
     """
     if m.L != 1:
         raise MscError("the commutation defect is defined for one level below zero")
@@ -412,7 +412,7 @@ def commutation_defect(m: MultiScaleStab, lam, tau, tol: float = 1e-9) -> Defect
         for l, c in sorted(zip(m.top.labels, m.top.classes))
     )
     worst = max(d for _, d in per)
-    ell = len(enumerate_strings(restrict(m.top.ext, sorted(m.quotient_labels(0)))))
+    ell = sum(k * (k + 1) // 2 for k in map(len, m.top.ext.components(m.quotient_labels(0))))
     try:
         scale = math.exp(math.pi * (lim_ + tim))
     except OverflowError:

@@ -9,12 +9,14 @@ phase (ties by label).  The charge of the result always equals
 e^(-i*pi*lam) times the input charge as a map on K; lam = 1 realizes the
 shift, purely imaginary lam rescales without touching the heart.
 
-``TiltState`` is the one engine behind this repair loop.  ``c_act`` is its
-zero-level case; ``multiscale`` runs it on nested level charges for the
-multi-scale action and plumbing, and ``limits`` on Laurent families to
-rotate and retilt degeneration limits.  Its tilts happen in place on one
-mutable heart (``hearts.HeartState``); the validated ``Heart`` is built only
-when someone reads ``TiltState.heart``.
+``TiltState`` is the one engine behind this repair loop: a mutable heart
+(it extends ``hearts.HeartState``) that carries level charges, so a tilt
+changes the classes, mutates the arrow set and moves the charges in one
+step, and an even shift is a counter.  ``c_act`` is its zero-level case;
+``multiscale`` runs it on nested level charges for the multi-scale action
+and plumbing, and ``limits`` on Laurent families to rotate and retilt
+degeneration limits.  The validated ``Heart`` is built only when someone
+reads ``TiltState.heart``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Mapping
 
 from .exact import (EC, AnstabError, ExactComplex, GaussianRational, expand, factor,
                     gauss_cmp_phase, rot_signs)
-from .hearts import Heart, HeartState, KClass, shift_heart
+from .hearts import Heart, HeartState, KClass
 
 
 class StabilityError(AnstabError):
@@ -160,8 +162,9 @@ def validate(heart: Heart, values: Mapping[int, object]) -> StabilityCondition:
     return StabilityCondition(heart, tuple(sorted(charge.items())))
 
 
-class TiltState:
-    """The one settle/tilt engine: a heart carrying nested level charges.
+class TiltState(HeartState):
+    """The one settle/tilt engine: a ``hearts.HeartState`` carrying nested
+    level charges.
 
     ``charges[i]`` maps the labels N_i of level i to their values, N_0 (all
     simples) > N_1 > ... > N_L (the zero-level case is a plain stability
@@ -180,16 +183,19 @@ class TiltState:
     ``level(i)`` reads the values back through ``exact.expand`` at the
     engine's exits.
 
-    Tilts happen in place on a ``hearts.HeartState`` built at the first
-    tilt; reading ``heart`` builds the validated ``Heart``, kept until the
-    next tilt.  A tilt at s adds the value of s to the labels that gain a
-    copy of S_s, on every level holding s; settling forward-tilts at the
-    quotient simple of minimal phase (ties by label) until every quotient
-    value lies in H, against one cap of 80n^2 + 16.
+    ``heart`` is the input heart until the first tilt, then ``freeze()``,
+    kept until the next tilt.  A tilt at s is ``HeartState.tilt`` plus the
+    value of s added to the labels that gain a copy of S_s, on every level
+    holding s; an even rotation only moves ``shift``.  Settling
+    forward-tilts at the quotient simple of minimal phase (ties by label)
+    until every quotient value lies in H, against one cap of 80n^2 + 16.
     """
 
+    __slots__ = ("_heart", "factors", "charges", "cap")
+
     def __init__(self, heart: Heart, charges):
-        self._heart, self._state = heart, None
+        super().__init__(heart)
+        self._heart = heart
         levels_factored = [factor(ch) or (None, ch) for ch in charges]
         self.factors = [key for key, _ in levels_factored]
         self.charges = [dict(ch) for _, ch in levels_factored]
@@ -199,18 +205,8 @@ class TiltState:
     @property
     def heart(self) -> Heart:
         if self._heart is None:
-            self._heart = self._state.freeze()
+            self._heart = self.freeze()
         return self._heart
-
-    @heart.setter
-    def heart(self, h: Heart) -> None:
-        self._heart, self._state = h, None
-
-    def _tables(self) -> HeartState:
-        """The heart tilted in place, built from ``heart`` on the first tilt."""
-        if self._state is None:
-            self._state = HeartState(self._heart)
-        return self._state
 
     @property
     def L(self) -> int:
@@ -220,8 +216,8 @@ class TiltState:
         """N_i, the labels level i's charge is defined on; empty below L."""
         return self.charges[i].keys() if i <= self.L else frozenset()
 
-    def tilt(self, s: int, direction: int) -> None:
-        gain = self._tables().tilt(s, direction)
+    def tilt(self, s: int, direction: int) -> list[int]:
+        gain = super().tilt(s, direction)
         self._heart = None
         for ch in self.charges:
             if s in ch:
@@ -232,6 +228,7 @@ class TiltState:
                 ch[s] = -v
             elif any(t in ch for t in gain):
                 raise AssertionError("tilt at a simple outside a level would change its lattice")
+        return gain
 
     def rotate_from(self, i0: int, rot: Fraction, scale: Fraction) -> None:
         """Multiply levels i0..L by e^(-i*pi*rot) * e^(pi*scale)."""
@@ -276,12 +273,11 @@ class TiltState:
         if not v:
             self.tilt(s, +1)
             return [(s, +1)]
-        h = self._tables()
-        snapshot = {l: h.classes[l] for l in v}
+        snapshot = {l: self.classes[l] for l in v}
         word: list[tuple[int, int]] = []
         guard = 0
         while True:
-            extenders = sorted(l for l in v if h.ext1(l, s))
+            extenders = sorted(l for l in v if self.ext1(l, s))
             if not extenders:
                 break
             guard += 1
@@ -292,7 +288,7 @@ class TiltState:
         undo = [(l, -dd) for (l, dd) in reversed(word)]
         for l, dd in undo:
             self.tilt(l, dd)
-        if {l: h.classes[l] for l in v} != snapshot:
+        if {l: self.classes[l] for l in v} != snapshot:
             raise AssertionError("protected tilt failed to restore deeper levels")
         return word + [(s, +1)] + undo
 
@@ -336,15 +332,16 @@ class TiltState:
 
         One settle pass realizes the torsion-free tilt of a rotation with
         real part at most one half-turn; larger rotations decompose by the
-        action axiom.  The even rotation part only contributes shift
-        bookkeeping at the top.
+        action axiom.  The even rotation part at the top only adds to
+        ``shift``.
         """
         even = 2 * (re // 2)
         residual = re - even
         if im:
             self.rotate_from(i0, Fraction(0), im)
         if even and i0 == 0:
-            self.heart = shift_heart(self.heart, int(even))
+            self.shift += int(even)
+            self._heart = None
         while residual > 0:
             step = min(residual, Fraction(1))
             self.rotate_from(i0, step, Fraction(0))

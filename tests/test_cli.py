@@ -630,6 +630,12 @@ class TestExitCodes:
             # provenance is an object
             ["tilt", "--heart", json.dumps(dict(A2_HEART, provenance=5)), "--word", "2"],
             ["tilt", "--heart", json.dumps(dict(A2_HEART, provenance=[])), "--word", "2"],
+            # one --tau entry per level passage, each 'inf' or a rational complex
+            ["plumb", a2_msc_deep([0, 1, 1, 1]), "--tau", ""],
+            ["plumb", a2_msc_deep([0, 1, 1, 1]), "--tau", "1/4-2i;"],
+            ["plumb", a2_msc_deep([0, 1, 1, 1]), "--tau", "inf;1/4-2i"],
+            ["plumb", a2_msc_deep([0, 1, 1, 1]), "--tau", "oo"],
+            ["plumb", a2_msc_deep([0, 1, 1, 1]), "--tau", "-ioo"],
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv):
@@ -637,6 +643,14 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("usage error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("tau, message", [
+        ("", "--tau entry 1 is empty"),
+        ("1/4-2i;", "--tau takes one entry per level passage: the object has 1, got 2"),
+    ])
+    def test_plumb_names_the_bad_tau_entry(self, capsys, tau, message):
+        code, out, err = run(capsys, "plumb", a2_msc_deep([0, 1, 1, 1]), "--tau", tau)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
     def test_defect_beyond_the_float_range_is_failure(self, capsys, monkeypatch):
         _, limit, _ = run(capsys, "limit", "--heart", "A2", "--family", "(-1+it, 1+it)")

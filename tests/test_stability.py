@@ -98,6 +98,24 @@ class TestAction:
         b = c_act(s, 2)
         assert a.charge == b.charge and heart_equal(a.heart, b.heart)
 
+    def test_even_shift_then_tilts(self):
+        """An even rotation only moves the shift: on tilted hearts of ranks
+        2-6, the action of 2 + r gives the charge of the action of r, and its
+        heart shifted by 2 (classes, ext-quiver, provenance and shift)."""
+        rng = random.Random(61)
+        tilted = 0
+        for _ in range(300):
+            h = random_heart(rng, rng.randrange(2, 7), depth=4)
+            s = validate(h, {l: gr(F(rng.randrange(-6, 7), rng.randrange(1, 4)),
+                                   F(rng.randrange(1, 7), rng.randrange(1, 4)))
+                             for l in h.labels})
+            r, y = F(rng.randrange(1, 48), 24), F(rng.randrange(-6, 7), 6)
+            near, far = c_act(s, (r, y)), c_act(s, (2 + r, y))
+            assert far.charge == near.charge, (s, r, y)
+            assert far.heart == shift_heart(near.heart, 2), (s, r, y)
+            tilted += near.heart.provenance != h.provenance
+        assert tilted > 200
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.fractions(min_value=0, max_value=F(9, 10), max_denominator=12),
