@@ -17,7 +17,11 @@ for readers of the JSON and dot output.  Enumeration generates exactly these
 graphs: each block tree once, in preorder form joined from its child blocks'
 subtrees, which are built once per call, then each level map that descends
 along its edges and leaves no level empty, so nothing is built only to be
-filtered out, and the graphs stream.
+filtered out, and the graphs stream.  ``validate`` is a tree check and a
+level check; the enumerator runs the first once per block tree and the
+second once per level map, so every graph meets ``validate`` without being
+checked on its own.  No graph has more than n - 1 levels below 0, so a larger
+level budget is clamped to that.
 
 The census builds one labeled graph per type.  It generates each unlabeled
 type once, as a leg count plus a multiset of deeper child subtrees memoized
@@ -92,28 +96,8 @@ class EnhancedLevelGraph:
     def validate(self) -> None:
         """Check what the representation leaves open; it forces the
         enhancements and the vertex sums itself."""
-        levels, parents, zeros = self.levels, self.parents, self.zeros
-        count = len(levels)
-        if not count or levels[0] != 0 or parents[:1] != (-1,):
-            raise StrataError("vertex 0 must be the top, at level 0")
-        if len(parents) != count or len(zeros) != count:
-            raise StrataError("levels, parents and zeros must list every vertex")
-        special = [len(z) + 1 for z in zeros]  # legs plus upper edge or pole
-        for v in range(1, count):
-            u = parents[v]
-            if not 0 <= u < v:
-                raise StrataError(f"vertex {v} must hang below an earlier vertex")
-            if levels[u] <= levels[v]:
-                raise StrataError("edges must descend strictly between levels")
-            special[u] += 1
-        if set(levels) != set(range(min(levels), 1)):
-            raise StrataError("levels must occupy 0..-L without gaps")
-        if min(special) < 3:
-            v = next(v for v, s in enumerate(special) if s < 3)
-            raise StrataError(f"vertex {v} is unstable: {special[v]} special points")
-        labels = sorted(itertools.chain.from_iterable(zeros))
-        if labels != list(range(len(labels))):
-            raise StrataError("zero labels must be 0..n")
+        _check_tree(self.parents, self.zeros)
+        _check_levels(self.levels, self.parents)
 
     # -- serialization
 
@@ -177,6 +161,40 @@ class EnhancedLevelGraph:
         return "\n".join(lines)
 
 
+def _check_tree(parents: tuple[int, ...], zeros: tuple[tuple[int, ...], ...]) -> None:
+    """The block tree's part of ``validate``: vertex 0 is the top, every other
+    vertex hangs below an earlier one and is stable, and the labels are 0..n."""
+    if parents[:1] != (-1,):
+        raise StrataError("vertex 0 must be the top, at level 0")
+    if len(zeros) != len(parents):
+        raise StrataError("levels, parents and zeros must list every vertex")
+    special = [len(z) + 1 for z in zeros]  # legs plus upper edge or pole
+    for v in range(1, len(parents)):
+        u = parents[v]
+        if not 0 <= u < v:
+            raise StrataError(f"vertex {v} must hang below an earlier vertex")
+        special[u] += 1
+    if min(special) < 3:
+        v = next(v for v, s in enumerate(special) if s < 3)
+        raise StrataError(f"vertex {v} is unstable: {special[v]} special points")
+    labels = sorted(itertools.chain.from_iterable(zeros))
+    if labels != list(range(len(labels))):
+        raise StrataError("zero labels must be 0..n")
+
+
+def _check_levels(levels: tuple[int, ...], parents: tuple[int, ...]) -> None:
+    """The level map's part of ``validate``, on a checked tree: the top is at
+    0, edges descend strictly, and no level between is empty."""
+    if not levels or levels[0] != 0:
+        raise StrataError("vertex 0 must be the top, at level 0")
+    if len(levels) != len(parents):
+        raise StrataError("levels, parents and zeros must list every vertex")
+    if any(levels[parents[v]] <= levels[v] for v in range(1, len(levels))):
+        raise StrataError("edges must descend strictly between levels")
+    if set(levels) != set(range(min(levels), 1)):
+        raise StrataError("levels must occupy 0..-L without gaps")
+
+
 def canonical_key(g: EnhancedLevelGraph, labeled: bool = False):
     """Tree-recursive canonical form, built children first; labeled keys keep
     the zero label sets."""
@@ -216,18 +234,23 @@ def _trees(labels: frozenset[int], depth_budget: int, memo: dict):
     preorder ``(parents, zeros)`` pairs: the block's own zeros at vertex 0,
     then each child's subtree, shifted by its offset, from the lists that
     ``memo`` holds once per ``(child labels, budget)``."""
-    fams = _families(sorted(labels), len(labels)) if depth_budget > 1 else ()
-    for fam in itertools.chain([()], fams):
+    yield (-1,), (tuple(sorted(labels)),)
+    if depth_budget < 2:
+        return
+    budget = depth_budget - 1
+    for fam in _families(sorted(labels), len(labels)):
         for c in fam:
-            if (c, depth_budget - 1) not in memo:
-                memo[c, depth_budget - 1] = list(_trees(c, depth_budget - 1, memo))
+            if (c, budget) not in memo:
+                memo[c, budget] = list(_trees(c, budget, memo))
         legs = tuple(sorted(labels.difference(*fam)))
-        for kids in itertools.product(*[memo[c, depth_budget - 1] for c in fam]):
+        for kids in itertools.product(*[memo[c, budget] for c in fam]):
             parents, zeros = [-1], [legs]
             for kid_parents, kid_zeros in kids:
                 offset = len(zeros)
-                parents += (0, *(u + offset for u in kid_parents[1:]))
-                zeros += kid_zeros
+                parents.append(0)
+                if len(kid_parents) > 1:
+                    parents.extend([u + offset for u in kid_parents[1:]])
+                zeros.extend(kid_zeros)
             yield tuple(parents), tuple(zeros)
 
 
@@ -248,6 +271,13 @@ def _level_maps(parents: Sequence[int], max_levels: int):
         yield from rec([0], d)
 
 
+def _level_budget(n: int, max_levels: int) -> int:
+    """At most n - 1 levels below 0 can be filled: the blocks below the top
+    form a laminar family of sets of at least two of the n + 1 zeros, all but
+    the full set, and such a family has at most n - 1 members."""
+    return min(max_levels, max(1, n - 1))
+
+
 def iter_graphs(n: int, max_levels: int) -> Iterator[EnhancedLevelGraph]:
     """All labeled enhanced level graphs with 1..max_levels levels below zero,
     one at a time.
@@ -260,23 +290,27 @@ def iter_graphs(n: int, max_levels: int) -> Iterator[EnhancedLevelGraph]:
     the vertex-sum rule, so nothing else is chosen, and no graph can repeat
     because it determines its block tree and its level map.  The graphs of
     one tree share its ``parents`` and ``zeros`` tuples, and the trees that
-    share a ``parents`` tuple share its level maps, which are checked once
-    to be distinct.
+    share a ``parents`` tuple share its level maps.  So ``validate`` runs in
+    its two parts: the tree check once per tree, before its first graph, and
+    the level check once per level map, with the check that the maps are
+    distinct; every graph meets all of ``validate``.
     """
     if n < 1:
         raise StrataError("need at least two zeros")
+    max_levels = _level_budget(n, max_levels)
     maps: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     trees = _trees(frozenset(range(n + 1)), max_levels + 1, {})
     next(trees)  # the smooth graph, without an edge
     for parents, zeros in trees:
+        _check_tree(parents, zeros)
         if parents not in maps:
             maps[parents] = list(_level_maps(parents, max_levels))
             if len(set(maps[parents])) != len(maps[parents]):
                 raise AssertionError("duplicate labeled graph generated")
+            for levels in maps[parents]:
+                _check_levels(levels, parents)
         for levels in maps[parents]:
-            g = EnhancedLevelGraph(levels, parents, zeros)
-            g.validate()
-            yield g
+            yield EnhancedLevelGraph(levels, parents, zeros)
 
 
 def enumerate_graphs(n: int, max_levels: int) -> list[EnhancedLevelGraph]:
@@ -537,7 +571,8 @@ def census_types(n: int, max_levels: int) -> list[tuple[object, int, EnhancedLev
     in which ``enumerate_graphs`` first emits the types."""
     if n < 1:
         raise StrataError("need at least two zeros")
-    trees = sorted(_leveled_trees(n, max_levels), key=lambda t: (t.shape, -min(t.levels), t.levels))
+    trees = sorted(_leveled_trees(n, _level_budget(n, max_levels)),
+                   key=lambda t: (t.shape, -min(t.levels), t.levels))
     return [(t.key, math.factorial(n + 1) // t.aut, _representative(t)) for t in trees]
 
 

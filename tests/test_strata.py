@@ -128,15 +128,19 @@ class TestEnumeration:
         )
 
     def test_stream_is_lazy(self, monkeypatch):
-        # the first graph at (7, 2) comes before the 159,615 others are built
+        # the first graph at (7, 2) comes before the 159,615 others are built:
+        # each tree and each level map is checked once, just before its first
+        # graph, so the checks count the trees and maps built so far
         calls = []
-        validate = EnhancedLevelGraph.validate
 
-        def counted(g):
-            calls.append(g)
-            validate(g)
+        def counted(check):
+            def wrapper(*args):
+                calls.append(args)
+                check(*args)
+            return wrapper
 
-        monkeypatch.setattr(EnhancedLevelGraph, "validate", counted)
+        for name in ("_check_tree", "_check_levels"):
+            monkeypatch.setattr(strata, name, counted(getattr(strata, name)))
         first = next(iter_graphs(7, 2))
         assert 0 < len(calls) < 100
         assert first == EnhancedLevelGraph((0, -1), (-1, 0), ((2, 3, 4, 5, 6, 7), (0, 1)))
@@ -165,6 +169,45 @@ class TestEnumeration:
         monkeypatch.setattr(strata, "_level_maps", twice)
         with pytest.raises(AssertionError, match="duplicate"):
             enumerate_graphs(3, 1)
+
+    @pytest.mark.parametrize(
+        "tree, match",
+        [
+            (((-1, 0, 1), ((0, 1), (), (2, 3))), "vertex 1 is unstable: 2 special points"),
+            (((-1, 0), ((0, 1), (2, 4))), "zero labels must be 0..n"),
+        ],
+    )
+    def test_tree_check_fires(self, monkeypatch, tree, match):
+        # the enumerator checks each tree once, but it does check it
+        def trees(labels, depth_budget, memo):
+            yield (-1,), (tuple(sorted(labels)),)
+            yield tree
+
+        monkeypatch.setattr(strata, "_trees", trees)
+        with pytest.raises(StrataError, match=match):
+            enumerate_graphs(3, 2)
+
+    @pytest.mark.parametrize(
+        "levels, match",
+        [((0, 0), "edges must descend strictly"), ((0, -2), "levels must occupy 0..-L without gaps")],
+    )
+    def test_level_check_fires(self, monkeypatch, levels, match):
+        # every tree at (2, 1) is one block of two zeros below the top
+        monkeypatch.setattr(strata, "_level_maps", lambda parents, max_levels: iter([levels]))
+        with pytest.raises(StrataError, match=match):
+            enumerate_graphs(2, 1)
+
+    def test_level_budget_is_clamped(self):
+        # at most n - 1 levels below 0 can be filled, so a larger budget gives
+        # the same graphs and types, at once
+        start = time.monotonic()
+        assert enumerate_graphs(3, 400) == enumerate_graphs(3, 2)
+        assert time.monotonic() - start < 1.0
+        start = time.monotonic()
+        big = census(5, 60)
+        assert time.monotonic() - start < 1.0
+        assert big["max_levels"] == 60
+        assert {**big, "max_levels": 4} == census(5, 4)
 
 
 class TestUndegeneration:
