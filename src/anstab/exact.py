@@ -24,7 +24,11 @@ adds to ``scale``).  Crucially, sign tests are decidable:
 * for one factor f and Gaussians c1, c2, the phases of f*c1 and f*c2 inside
   one half-plane bucket are ordered by the cross product Im(conj(c1)*c2):
   ``gauss_cmp_phase`` on a factored level, and ``cross_signs`` on two single
-  atoms of one (rot, scale) key, with no filter and no product;
+  atoms of one (rot, scale) key, with no filter and no product; a value
+  against an equal one gives conj(a)*a = |a|^2 > 0 with no product either;
+* a value of one atom takes a direct path: ``zero()`` is one shared value,
+  a product of two atoms adds their keys and folds one quarter turn, a
+  rotation moves the one key, and each sign is ``xy_sign``'s at once;
 * ``GaussianRational`` is the one Gaussian type: Fraction parts in atoms,
   int parts on a factored level.  ``factor`` writes a level of single atoms
   of one (rot, scale) key as that key, a common denominator and Gaussians
@@ -189,7 +193,7 @@ def gr(re, im=0) -> GaussianRational:
 
 _GR_ZERO = gr(0)
 _GR_ONE = gr(1)
-_HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
+_ZERO, _HALF, _QUARTER = Fraction(0), Fraction(1, 2), Fraction(1, 4)
 
 
 def _iv_frac(q: Fraction):
@@ -330,8 +334,10 @@ class ExactComplex:
     are equal iff their atom multisets agree.  Normalized atom pairs cannot
     cancel (a cancellation would force e^(i*pi*(rot-rot')) or
     e^(pi*(scale-scale')) to be a nonreal Gaussian rational resp. an
-    algebraic number); a cancellation among three or more same-scale atoms
-    is not yet detected.
+    algebraic number).  Still undetected: a cancellation among three or more
+    same-scale atoms, and the zero Im(conj(a)*b) when b is a positive
+    multiple other than 1 of a value a of several atoms; both can raise
+    ``PrecisionError``.
 
     ``im_sign`` and ``re_sign`` decide at most once per value: the double
     filter first, then the per-atom ladder and intervals; a
@@ -364,12 +370,20 @@ class ExactComplex:
     # -- constructors
 
     @classmethod
+    def _raw(cls, atoms: tuple) -> "ExactComplex":
+        """A value from normal-form atoms that are already merged and sorted."""
+        v = object.__new__(cls)
+        v.atoms, v._re, v._im, v._approx = atoms, None, None, None
+        return v
+
+    @classmethod
     def zero(cls) -> "ExactComplex":
-        return cls(())
+        """The one shared zero."""
+        return _EC_ZERO
 
     @classmethod
     def from_gaussian(cls, c: GaussianRational) -> "ExactComplex":
-        return cls([(Fraction(0), Fraction(0), c)])
+        return _EC_ZERO if c.is_zero() else cls._raw(((_ZERO, _ZERO, c),))
 
     @classmethod
     def rational(cls, re, im=0) -> "ExactComplex":
@@ -385,6 +399,8 @@ class ExactComplex:
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         if not other.atoms:
             return self
+        if not self.atoms:
+            return other
         return ExactComplex._normal(self.atoms + other.atoms)
 
     def __sub__(self, other: "ExactComplex") -> "ExactComplex":
@@ -398,6 +414,12 @@ class ExactComplex:
 
     def __mul__(self, other):
         if isinstance(other, ExactComplex):
+            if len(self.atoms) == len(other.atoms) == 1:
+                (r1, s1, c1), (r2, s2, c2) = self.atoms[0], other.atoms[0]
+                r, c = r1 + r2, c1 * c2  # r in [0, 1): fold one quarter turn
+                if r >= _HALF:
+                    r, c = r - _HALF, c.times_minus_i(1)
+                return ExactComplex._raw(((r, s1 + s2, c),))
             return ExactComplex(
                 [
                     (r1 + r2, s1 + s2, c1 * c2)
@@ -420,12 +442,13 @@ class ExactComplex:
     def rotated(self, rot: Fraction, scale: Fraction = Fraction(0)) -> "ExactComplex":
         """``self * EC.unit(rot, scale)``.  Every key moves alike, so no two
         atoms merge: they are only sorted, and quarter turns fold into c."""
+        if len(self.atoms) == 1:
+            r, s, c = self.atoms[0]
+            q, r = divmod(r + rot, _HALF)
+            return ExactComplex._raw(((r, s + scale if scale else s, c.times_minus_i(q)),))
         moved = ((divmod(r + rot, _HALF), s + scale, c) for r, s, c in self.atoms)
-        v = object.__new__(ExactComplex)
-        v.atoms = tuple(sorted(((r, s, c.times_minus_i(q)) for (q, r), s, c in moved),
-                               key=itemgetter(0, 1)))
-        v._re = v._im = v._approx = None
-        return v
+        return ExactComplex._raw(tuple(sorted(((r, s, c.times_minus_i(q)) for (q, r), s, c in moved),
+                                              key=itemgetter(0, 1))))
 
     # -- predicates
 
@@ -466,7 +489,11 @@ class ExactComplex:
 
     def _part_sign(self, part: str) -> int:
         """Exact sign of Re or Im: the filter's, else the atoms' common sign when
-        each scale holds one atom and their nonzero signs agree, else intervals'."""
+        each scale holds one atom and their nonzero signs agree, else intervals'.
+        One atom asks ``xy_sign`` at once: e^(pi*scale) > 0 leaves its sign."""
+        if len(self.atoms) == 1:
+            r, _, c = self.atoms[0]
+            return rot_signs(r).xy_sign(*_xy(c, part))
         f, k = self._filter(), part == "im"
         if f and abs(f[k]) > f[k + 2]:
             return 1 if f[k] > 0 else -1
@@ -528,6 +555,8 @@ class ExactComplex:
                    + 2**-51 * (abs(ar * bi) + abs(ai * br))) * (1 + 2**-48) + 2**-1069
             if abs(x) > err:
                 return (1 if x > 0 else -1), 0
+        if self.atoms == other.atoms:  # conj(a)*a = |a|^2
+            return 0, 1 if self.atoms else 0
         p = self.conj() * other
         s = p.im_sign()
         return s, 0 if s else p.re_sign()
@@ -610,6 +639,7 @@ class ExactComplex:
 
 
 EC = ExactComplex
+_EC_ZERO = ExactComplex()
 
 
 def factor(values: Mapping):

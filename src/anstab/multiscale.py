@@ -226,6 +226,8 @@ def _proportional(pairs: list[tuple[ExactComplex, ExactComplex]]) -> bool:
     ra, rb = ref
     if rb.is_zero():
         return False
+    if ra == rb:  # the common multiple is 1
+        return all(a == b for a, b in pairs)
     for a, b in pairs:
         if a.is_zero() != b.is_zero():
             return False
@@ -253,7 +255,10 @@ def _compare_levels(m1: MultiScaleStab, m2: MultiScaleStab, projective0: bool) -
     """
     if m1.L != m2.L or m1.top.rank() != m2.top.rank():
         return False
-    rows = {l: m2.top.coords(m1.top.cls(l)) for l in m1.top.labels}
+    if (m1.top.labels, m1.top.classes) == (m2.top.labels, m2.top.classes):
+        rows = {l: {l: 1} for l in m1.top.labels}  # the coordinates of a basis in itself
+    else:
+        rows = {l: m2.top.coords(m1.top.cls(l)) for l in m1.top.labels}
     for i in range(m1.L + 1):
         n1, n2 = m1.labels(i), m2.labels(i)
         if len(n1) != len(n2):

@@ -96,6 +96,10 @@ class EnhancedLevelGraph:
     def validate(self) -> None:
         """Check what the representation leaves open; it forces the
         enhancements and the vertex sums itself."""
+        for name, field in (("levels", self.levels), ("parents", self.parents), ("zeros", self.zeros)):
+            if type(field) is not tuple or name == "zeros" and any(type(z) is not tuple for z in field):
+                shape = "a tuple of tuples" if name == "zeros" else "a tuple"
+                raise StrataError(f"field {name!r} must be {shape}, got {field!r}")
         _check_tree(self.parents, self.zeros)
         _check_levels(self.levels, self.parents)
 

@@ -436,6 +436,19 @@ class TestSerialization:
         with pytest.raises(StrataError, match=match):
             EnhancedLevelGraph(levels, parents, zeros).validate()
 
+    @pytest.mark.parametrize(
+        "levels, parents, zeros, field",
+        [
+            ([0, -1], [-1, 0], [[0], [1, 2]], "levels"),
+            ((0, -1), [-1, 0], ((0,), (1, 2)), "parents"),
+            ((0, -1), (-1, 0), [(0,), (1, 2)], "zeros"),
+            ((0, -1), (-1, 0), ((0,), [1, 2]), "zeros"),
+        ],
+    )
+    def test_validate_names_a_non_tuple_field(self, levels, parents, zeros, field):
+        with pytest.raises(StrataError, match=f"field '{field}' must be a tuple"):
+            EnhancedLevelGraph(levels, parents, zeros).validate()
+
     def test_dot(self):
         dot = enumerate_graphs(3, 1)[0].to_dot()
         assert "rank=same" in dot and "->" in dot
