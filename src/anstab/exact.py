@@ -32,7 +32,9 @@ adds to ``scale``).  Crucially, sign tests are decidable:
 * ``GaussianRational`` is the one Gaussian type: Fraction parts in atoms,
   int parts on a factored level.  ``factor`` writes a level of single atoms
   of one (rot, scale) key as that key, a common denominator and Gaussians
-  with int parts, and ``expand`` reads it back; no other module reads atoms;
+  with int parts, and ``expand`` reads it back; no other module reads atoms.
+  ``Laurent`` families whose coefficients all are such atoms factor into
+  ``FactoredFamily`` values; mixed keys and sums of atoms stay ``Laurent``;
 * a certified double filter decides each sign first: ``_filter`` gives Re
   and Im in doubles with a rigorous bound (64-bit enclosures of cos,
   sin(pi*rot) and e^(pi*scale), plus rounding), and ``cross_signs`` reads
@@ -642,27 +644,79 @@ EC = ExactComplex
 _EC_ZERO = ExactComplex()
 
 
+@dataclass(slots=True)
+class FactoredFamily:
+    """A ``Laurent`` family on a factored level (``factor``): its nonzero
+    coefficients {k: GaussianRational with int parts} by increasing k."""
+
+    coeffs: dict
+
+    def __add__(self, other: "FactoredFamily") -> "FactoredFamily":
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out[k] + c if k in out else c
+        return FactoredFamily({k: c for k, c in sorted(out.items()) if not c.is_zero()})
+
+    def __neg__(self) -> "FactoredFamily":
+        return FactoredFamily({k: -c for k, c in self.coeffs.items()})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def times_minus_i(self, quarter_turns: int) -> "FactoredFamily":
+        return FactoredFamily({k: c.times_minus_i(quarter_turns) for k, c in self.coeffs.items()})
+
+    def valuation(self) -> int | None:
+        return next(iter(self.coeffs), None)
+
+    def leading(self) -> GaussianRational:
+        return next(iter(self.coeffs.values()))
+
+    def in_h(self, rs: RotSigns) -> bool:
+        """``Laurent.in_upper_semiclosed`` on the key of ``rs``."""
+        cs = self.coeffs.values()
+        s = next(filter(None, (rs.xy_sign(c.im, -c.re) for c in cs)), 0)
+        return s > 0 if s else next(filter(None, (rs.xy_sign(c.re, c.im) for c in cs)), 0) < 0
+
+    def cmp_phase(self, other: "FactoredFamily", rs: RotSigns) -> int:
+        """``Laurent.cmp_phase`` on the key of ``rs``: the leading coefficients'
+        buckets (-1 - it is outside H but leads in H), then ``gauss_cmp_phase``."""
+        a, b = self.leading(), other.leading()
+        return (rs.in_h(a) - rs.in_h(b)) or gauss_cmp_phase(a, b)
+
+
 def factor(values: Mapping):
-    """``(key, {label: g})`` when every nonzero value is one atom of a common
-    (rot, scale): key = (rot, scale, D), D > 0 the lcm of the denominators,
-    g a ``GaussianRational`` with int parts and
-    value = e^(-i*pi*rot) e^(pi*scale) g / D.  Else None."""
-    if not all(isinstance(v, ExactComplex) and len(v.atoms) <= 1 for v in values.values()):
+    """``(key, {label: g})`` when every nonzero value, or every coefficient of
+    ``Laurent`` values, is one atom of a common (rot, scale): key = (rot, scale,
+    D), D > 0 the lcm of the denominators, value = e^(-i*pi*rot) e^(pi*scale) g / D,
+    g a ``GaussianRational`` with int parts (a ``FactoredFamily`` of them).  Else None."""
+    families = all(isinstance(v, Laurent) for v in values.values())
+    cs = [c for v in values.values() for c in v.coeffs.values()] if families else values.values()
+    if not all(isinstance(c, ExactComplex) and len(c.atoms) <= 1 for c in cs):
         return None
-    keys = {v.atoms[0][:2] for v in values.values() if v.atoms}
-    if len(keys) != 1:
+    atoms = [c.atoms[0] for c in cs if c.atoms]
+    if not atoms or any(a[:2] != atoms[0][:2] for a in atoms):
         return None
-    cs = {l: v.atoms[0][2] if v.atoms else _GR_ZERO for l, v in values.items()}
-    d = lcm(*(x.denominator for c in cs.values() for x in (c.re, c.im)))
-    return (*keys.pop(), d), {l: GaussianRational(*(x.numerator * d // x.denominator for x in (c.re, c.im)))
-                              for l, c in cs.items()}
+    d = lcm(*(x.denominator for a in atoms for x in (a[2].re, a[2].im)))
+
+    def ints(c: ExactComplex) -> GaussianRational:
+        g = c.atoms[0][2] if c.atoms else _GR_ZERO
+        return GaussianRational(*(x.numerator * d // x.denominator for x in (g.re, g.im)))
+
+    return (*atoms[0][:2], d), {l: FactoredFamily({k: ints(c) for k, c in v.coeffs.items()})
+                                if families else ints(v) for l, v in values.items()}
 
 
-def expand(key, gs: Mapping) -> dict:
-    """The ``ExactComplex`` values of a factored level: the inverse of ``factor``."""
+def expand(key, values: Mapping) -> dict:
+    """The ``ExactComplex`` or ``Laurent`` values of a factored level: the inverse of ``factor``."""
     r, s, d = key
-    return {l: EC._normal([(r, s, GaussianRational(Fraction(g.re, d), Fraction(g.im, d)))])
-            for l, g in gs.items()}
+
+    def atom(g: GaussianRational) -> ExactComplex:
+        c = GaussianRational(Fraction(g.re, d), Fraction(g.im, d))
+        return _EC_ZERO if c.is_zero() else EC._raw(((r, s, c),))
+
+    return {l: Laurent({k: atom(g) for k, g in v.coeffs.items()}) if isinstance(v, FactoredFamily)
+            else atom(v) for l, v in values.items()}
 
 
 def phase_cmp_rational(c: GaussianRational, r: Fraction) -> int:
@@ -775,30 +829,38 @@ def mat_mul(a, b):
     ]
 
 
-def det_adjugate(a):
-    """``(det a, adj a)``, so adj * a = det * I, for a square integer matrix a,
-    or ``(0, None)`` when a is singular.  One fraction-free (Bareiss)
-    Gauss-Jordan pass on [a | I]: the entries stay integer minors, the left
-    block ends as d * I and the right one as d * a^-1, d = +-det a."""
-    n = len(a)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+def _eliminate(m, n: int, jordan: bool) -> tuple[int, int]:
+    """A fraction-free (Bareiss) pass, in place, over the first n columns of
+    the integer rows m, below the pivots and, with ``jordan``, above them:
+    (sign, last pivot), their product det, or (0, 0) when singular."""
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
         if pivot is None:
-            return 0, None
+            return 0, 0
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         top, p = m[k], m[k][k]
-        for i in range(n):
+        for i in range(0 if jordan else k + 1, n):
             if i != k:
                 f = m[i][k]
                 m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], top)]
         prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in m]
+    return sign, prev
+
+
+def det_adjugate(a):
+    """``(det a, adj a)``, so adj * a = det * I, for a square integer matrix a,
+    or ``(0, None)`` when a is singular: ``_eliminate`` on [a | I] ends with
+    d * I on the left and d * a^-1 on the right, d = +-det a."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign, d = _eliminate(m, n, True)
+    return (sign * d, [[sign * x for x in row[n:]] for row in m]) if d else (0, None)
 
 
 def mat_det(a) -> int:
-    """Determinant of a square integer matrix."""
-    return det_adjugate(a)[0]
+    """Determinant of a square integer matrix: ``_eliminate`` below the pivots."""
+    sign, d = _eliminate([list(row) for row in a], len(a), False)
+    return sign * d

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .anquiver import QuiverWithPotential, check_ints, make_linear, mutate_arrows, neighbours
-from .exact import AnstabError, det_adjugate
+from .exact import AnstabError, det_adjugate, mat_det
 
 
 class HeartError(AnstabError):
@@ -50,17 +50,26 @@ class Heart:
         if len(self.classes) != len(self.labels):
             raise HeartError("one class per simple required")
 
+    def _square(self) -> bool:
+        """Whether the classes are a square of ints."""
+        n = len(self.classes)
+        return all(len(c) == n and all(type(x) is int for x in c) for c in self.classes)
+
     @cached_property
     def _det_adj(self):
-        """``det_adjugate`` of the classes as columns; (0, None) unless a square of ints."""
-        n = len(self.classes)
-        if any(len(c) != n or any(type(x) is not int for x in c) for c in self.classes):
-            return 0, None
-        return det_adjugate(list(zip(*self.classes)))
+        """``det_adjugate`` of the classes as columns; (0, None) unless ``_square()``."""
+        return det_adjugate(list(zip(*self.classes))) if self._square() else (0, None)
+
+    @cached_property
+    def _det(self) -> int:
+        """Their determinant: the one ``coords`` keeps, else ``mat_det`` alone."""
+        if "_det_adj" in self.__dict__ or not self._square():
+            return self._det_adj[0]
+        return mat_det(list(zip(*self.classes)))
 
     def check_basis(self) -> None:
         """Raise unless the simple classes are square integer vectors with |det| = 1."""
-        if abs(self._det_adj[0]) != 1:
+        if abs(self._det) != 1:
             raise HeartError("the simple classes must form a Z-basis (|det| = 1)")
 
     def cls(self, label: int) -> KClass:

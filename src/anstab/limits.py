@@ -15,19 +15,24 @@ engine ``stability.TiltState``, and everything is decided symbolically:
   rotated by the smallest schedule value 1/q (q = 64, 32, ...) that leaves
   every indecomposable leading phase off the axis, by ``TiltState.act_from``
   (rotate, then settle, as in ``c_act``), and the check repeats.  The
-  rotation is one more atom factor on the coefficients.
+  rotation is one more atom factor on the coefficients.  Only this branch
+  builds engine state.  Families whose coefficients are all single atoms of
+  one (rot, scale) key, as Gaussian ones are, settle on integers
+  (``exact.factor``); mixed keys and sums of atoms stay ``Laurent``.
 
 The returned rotation lets callers undo the rotation branch exactly.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .anquiver import enumerate_strings
-from .exact import EC, AnstabError, GaussianRational, Laurent
+from .exact import EC, AnstabError, GaussianRational, Laurent, expand
 from .hearts import Heart
 from .multiscale import MultiScaleStab, validate_msc
 from .stability import TiltState, label_from_key
@@ -116,6 +121,12 @@ def _check_admissible(heart: Heart, fams: Mapping[int, Laurent]) -> None:
         raise InadmissibleFamily(msg)
 
 
+def _leading(fams: Mapping, key) -> dict:
+    """The leading coefficients of nonzero families as ExactComplex values."""
+    leads = {l: f.leading() for l, f in fams.items()}
+    return expand(key, leads) if key else leads
+
+
 def extract_limit(heart: Heart, zc: LaurentCharge):
     """Extract the limiting multi-scale object of an admissible family.
 
@@ -127,40 +138,31 @@ def extract_limit(heart: Heart, zc: LaurentCharge):
     """
     fams = dict(zc.families)
     _check_admissible(heart, fams)
-    st = TiltState(heart, [fams])
-    rot = Fraction(0)
+    h, st, key, rot = heart, None, None, Fraction(0)
     for _round in range(len(ROTATION_SCHEDULE) + 1):
-        h, fams = st.heart, st.charges[0]
-        vals = {l: fams[l].valuation() for l in h.labels}
-        if not any(_on_positive_reals(fams[l].leading()) for l in h.labels):
+        leads = _leading(fams, key)
+        if not any(_on_positive_reals(c) for c in leads.values()):
+            vals = {l: fams[l].valuation() for l in h.labels}
             charges = [
-                {l: fams[l].leading() if vals[l] == v else EC.zero()
-                 for l in h.labels if vals[l] >= v}
+                {l: leads[l] if vals[l] == v else EC.zero() for l in h.labels if vals[l] >= v}
                 for v in sorted(set(vals.values()))
             ]
             return validate_msc(h, charges), rot
-        # leading terms of the nonzero indecomposable charges
-        vs = h.ext.vertices
-        totals = (
-            sum((fams[v] * m for m, v in zip(dv, vs) if m), Laurent())
-            for dv in enumerate_strings(h.ext)
-        )
-        leads = [f.leading() for f in totals if not f.is_zero()]
-        lam = next(
-            (
-                lam
-                for lam in ROTATION_SCHEDULE
-                if not any(_on_positive_reals(c.rotated(lam)) for c in leads)
-            ),
-            None,
-        )
+        if st is None:
+            st = TiltState(heart, [fams])
+            fams, key = st.charges[0], st.factors[0]
+        # the nonzero indecomposable charges: strings are 0/1 vectors
+        totals = (functools.reduce(operator.add, (fams[v] for m, v in zip(dv, h.ext.vertices) if m))
+                  for dv in enumerate_strings(h.ext))
+        leads = _leading(dict(enumerate(f for f in totals if not f.is_zero())), key).values()
+        lam = next((lam for lam in ROTATION_SCHEDULE
+                    if not any(_on_positive_reals(c.rotated(lam)) for c in leads)), None)
         if lam is None:
-            raise LimitError(
-                "no admissible rotation in the schedule: the degeneration "
-                "is horizontal, which cannot occur in finite A_n type"
-            )
+            raise LimitError(f"each schedule value, {ROTATION_SCHEDULE[0]} to {ROTATION_SCHEDULE[-1]}, "
+                             "puts some indecomposable's leading coefficient on the positive real axis")
         st.act_from(0, lam, Fraction(0))
         rot += lam
+        h, fams, key = st.heart, st.charges[0], st.factors[0]
     raise LimitError("rotation branch did not stabilize")
 
 

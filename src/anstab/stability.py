@@ -173,15 +173,16 @@ class TiltState(HeartState):
     ``exact.Laurent`` families with ExactComplex coefficients; the engine
     needs ``+``, unary ``-``, ``is_zero``, ``in_upper_semiclosed``,
     ``cmp_phase`` and ``rotated`` (rotations, ``act_from``).  A level that
-    ``exact.factor`` accepts is kept factored:
-    ``factors[i]`` is its key (rot, scale, D) and its values are
-    ``exact.GaussianRational`` with int parts.  A rotation moves the key and
-    turns each value, a tilt is integer addition, the half-plane test is
-    ``rot_signs(rot).in_h`` on integers (fetched once per settle: their
-    signs, then the key's double filter, then intervals), the phase
-    comparison is the integer cross product ``exact.gauss_cmp_phase``, and
-    ``level(i)`` reads the values back through ``exact.expand`` at the
-    engine's exits.
+    ``exact.factor`` accepts is kept factored: ``factors[i]`` is its key
+    (rot, scale, D), and it holds Gaussian values (``exact.GaussianRational``
+    with int parts) or integer families (``exact.FactoredFamily``).  A
+    rotation moves the key and turns each value, and a tilt is integer
+    addition.  ``settle`` picks the half-plane test and the phase order once
+    from the key and the value kind: ``rot_signs(rot).in_h`` (signs, then
+    the key's double filter, then intervals) and the integer cross product
+    ``exact.gauss_cmp_phase``, or the families' integer readings of the
+    ``Laurent`` rules.  ``level(i)`` reads the values back through
+    ``exact.expand`` at the engine's exits.
 
     ``heart`` is the input heart until the first tilt, then ``freeze()``,
     kept until the next tilt.  A tilt at s is ``HeartState.tilt`` plus the
@@ -242,7 +243,7 @@ class TiltState(HeartState):
                 self.charges[i] = {l: v.rotated(rot, scale) for l, v in self.charges[i].items()}
 
     def level(self, i: int) -> dict:
-        """The values of level i, as ExactComplex on a factored level."""
+        """The values of level i, expanded on a factored level."""
         if not self.factors[i]:
             return dict(self.charges[i])
         return expand(self.factors[i], self.charges[i])
@@ -298,14 +299,19 @@ class TiltState(HeartState):
             self.settle(i + 1)
         quotient = sorted(self.lset(i) - self.lset(i + 1))
         charge, f = self.charges[i], self.factors[i]
-        test = rot_signs(f[0]).in_h if f else None  # the key's constants, fetched once
-        cmp = gauss_cmp_phase if f else (lambda a, b: a.cmp_phase(b))
+        rs = f and rot_signs(f[0])  # the key's constants, fetched once
+        if not f:
+            test, cmp = (lambda v: v.in_upper_semiclosed()), (lambda a, b: a.cmp_phase(b))
+        elif isinstance(next(iter(charge.values())), GaussianRational):
+            test, cmp = rs.in_h, gauss_cmp_phase
+        else:  # integer families
+            test, cmp = (lambda v: v.in_h(rs)), (lambda a, b: a.cmp_phase(b, rs))
         seen = {}  # label -> (value, in H); a tilt rebinds only the values it changes
 
         def in_h(l: int) -> bool:
             v = charge[l]
             if l not in seen or seen[l][0] is not v:
-                seen[l] = v, test(v) if test else v.in_upper_semiclosed()
+                seen[l] = v, test(v)
             return seen[l][1]
 
         steps = 0

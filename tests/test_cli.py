@@ -241,6 +241,19 @@ class TestCommands:
             "1": EC.unit(F(-1, 3)), "2": EC.rational(-1)
         }
 
+    def test_limit_with_every_schedule_value_blocked(self, capsys):
+        """(1 + it, e^(i pi/64), e^(i pi/32), ..., e^(i pi/4)) on A6 is admissible,
+        but each schedule value puts a lead on the positive real axis, so
+        ``limit`` exits 1 with one line saying so.  Once the schedule has a
+        fallback rotation (ROADMAP item 13), this family returns a limit."""
+        family = {"1": [[0, 1, 1, 0, 1], [1, 0, 1, 1, 1]]}
+        for l, q in zip(range(2, 7), (64, 32, 16, 8, 4)):
+            family[str(l)] = [[0, {"rot": [-1, q], "scale": [0, 1], "gauss": [1, 1, 0, 1]}]]
+        code, out, err = run(capsys, "limit", "--heart", "A6", "--family", json.dumps(family))
+        assert (code, out) == (1, "")
+        assert err == ("validation failure: each schedule value, 1/64 to 1/4, puts some "
+                       "indecomposable's leading coefficient on the positive real axis\n")
+
     def test_twist_data(self, capsys):
         code, out, _ = run(capsys, "twist-data", "--rho", "[[2]]")
         data = json.loads(out)

@@ -417,3 +417,18 @@ class TestLinearAlgebra:
         assert mat_det([[2, 0], [0, 3]]) == 6
         assert mat_det([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
         assert mat_det([[1, 2], [2, 4]]) == 0
+
+    def test_det_is_the_adjugates(self):
+        """``mat_det`` eliminates below the pivots only; it agrees with the
+        full pass of ``det_adjugate``, singular matrices included."""
+        rng = random.Random(5)
+        singular = 0
+        for _ in range(400):
+            n = rng.randrange(0, 8)
+            a = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                i, j = rng.sample(range(n), 2)
+                a[i] = [2 * x for x in a[j]]
+            singular += det_adjugate(a)[0] == 0
+            assert mat_det(a) == det_adjugate(a)[0], a
+        assert singular > 50

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from anstab.anquiver import mutate
-from anstab.exact import mat_det
+from anstab import hearts
+from anstab.exact import det_adjugate, mat_det
 from anstab.hearts import (
     Heart,
     HeartError,
@@ -111,6 +112,22 @@ class TestTilts:
             assert all(isinstance(c, int) for c in x.values())
             total = tuple(sum(x[l] * h.cls(l)[k] for l in h.labels) for k in range(n))
             assert total == gamma
+
+    def test_check_basis_needs_no_adjugate(self, monkeypatch):
+        """``check_basis`` computes the determinant alone; ``coords`` computes
+        the adjugate, and a heart that has it checks with its determinant."""
+        calls = []
+        monkeypatch.setattr(hearts, "det_adjugate", lambda a: calls.append(a) or det_adjugate(a))
+        h = Heart.from_json(forward_tilt(standard_heart(4), 2).to_json())
+        with pytest.raises(HeartError, match="Z-basis"):
+            Heart((1, 2), ((1, 1), (1, 1)), standard_heart(2).ext).check_basis()
+        assert calls == []
+        assert h.coords(h.cls(2)) == {1: 0, 2: 1, 3: 0, 4: 0} and len(calls) == 1
+        monkeypatch.setattr(hearts, "mat_det", None)
+        fresh = forward_tilt(standard_heart(4), 3)
+        assert fresh.coords(fresh.cls(1)) == {1: 1, 2: 0, 3: 0, 4: 0}
+        fresh.check_basis()
+        assert len(calls) == 2
 
     def test_coords_reject_a_non_integral_class(self):
         h = Heart((1, 2), ((2, 0), (0, 1)), standard_heart(2).ext)

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from anstab import exact
-from anstab.exact import EC, gr
+from anstab import exact, stability
+from anstab.exact import EC, Laurent, gr
 from anstab.hearts import backward_tilt, forward_tilt, heart_equal, standard_heart
 from anstab.limits import (
     InadmissibleFamily,
@@ -172,17 +172,22 @@ def class_family(heart, fams, gamma):
     return {k: c for k, c in total.items() if not c.is_zero()}
 
 
+def seeded_tilted_families(seed=13, count=200):
+    """Tilted hearts of rank 2 to 5, each with a random admissible family."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(2, 6)
+        h = standard_heart(n)
+        for _ in range(rng.randrange(0, 5)):
+            tilt = forward_tilt if rng.random() < 0.6 else backward_tilt
+            h = tilt(h, rng.choice(h.labels))
+        yield h, random_admissible_family(rng, h.labels)
+
+
 class TestExtractLimitProperties:
     def test_seeded_families_on_tilted_hearts(self):
-        rng = random.Random(13)
         rotated = 0
-        for _ in range(200):
-            n = rng.randrange(2, 6)
-            h = standard_heart(n)
-            for _ in range(rng.randrange(0, 5)):
-                tilt = forward_tilt if rng.random() < 0.6 else backward_tilt
-                h = tilt(h, rng.choice(h.labels))
-            fams = random_admissible_family(rng, h.labels)
+        for h, fams in seeded_tilted_families():
             m, rot = extract_limit(h, LaurentCharge.build(fams))
             rotated += rot > 0
             undo = EC.unit(-rot)
@@ -209,6 +214,82 @@ class TestExtractLimitProperties:
         zc = LaurentCharge.build({1: {0: gr(2), 1: gr(0, 1)}, 2: {0: gr(0, 1), 1: gr(0, 1)}})
         m, rot = extract_limit(standard_heart(2), zc)
         assert rot == F(1, 64)
+
+
+ONE_KEY_FAMILY = {
+    "1": [[0, {"rot": [1, 4], "scale": [1, 5], "gauss": [1, 1, 1, 1]}],
+          [1, {"rot": [1, 4], "scale": [1, 5], "gauss": [0, 1, 1, 1]}]],
+    "2": [[0, {"rot": [1, 4], "scale": [1, 5], "gauss": [-1, 1, 1, 1]}]],
+}
+MIXED_KEY_FAMILY = {
+    "1": [[0, {"rot": [1, 3], "scale": [0, 1], "gauss": [-1, 1, 0, 1]}]],
+    "2": [[0, 1, 1, 0, 1], [1, 0, 1, 1, 1]],
+}
+
+
+class TestLaurentPaths:
+    """Families of single atoms of one key settle as ``exact.FactoredFamily``
+    values on integers; the others keep ``Laurent`` values.  Both paths give
+    the same limits."""
+
+    def test_factored_path_matches_the_laurent_path(self, monkeypatch):
+        cases = [(h, LaurentCharge.build(fams)) for h, fams in seeded_tilted_families()]
+        cases.append((standard_heart(2), LaurentCharge.from_json(ONE_KEY_FAMILY)))
+        factored = [extract_limit(h, zc) for h, zc in cases]
+        assert sum(rot > 0 for _, rot in factored) >= 40
+        def refuse_families(values):  # the tilt engine keeps Laurent levels unfactored
+            return None if any(isinstance(v, Laurent) for v in values.values()) else exact.factor(values)
+
+        monkeypatch.setattr(stability, "factor", refuse_families)
+        for (h, zc), (m, rot) in zip(cases, factored):
+            again, rot_again = extract_limit(h, zc)
+            assert rot_again == rot and again.to_json() == m.to_json()
+
+    @pytest.mark.parametrize("data, key", [
+        (ONE_KEY_FAMILY, (F(1, 4), F(1, 5), 1)),  # factored, off rotation 0 and scale 0
+        (MIXED_KEY_FAMILY, None),                  # one Gaussian and one rotated family
+    ])
+    def test_json_families_rotate_by_one_64th(self, data, key):
+        zc = LaurentCharge.from_json(data)
+        assert (exact.factor(dict(zc.families)) or (None,))[0] == key
+        assert extract_limit(standard_heart(2), zc)[1] == F(1, 64)
+
+    def test_integer_readings_match_laurent(self):
+        """A factored family's half-plane test and phase order are
+        ``Laurent``'s, also for families outside H that lead in H (-1 - it)."""
+        rng, leading_in_h = random.Random(3), 0
+        on_negative_reals = {F(0): (gr(-1), gr(0, -1)), F(1, 4): (gr(-1, -1), gr(1, -1))}
+        for rot in (F(0), F(1, 4), F(1, 64), F(1, 3)):
+            rs, fams = exact.rot_signs(rot), {}
+            if rot in on_negative_reals:  # -1 - it, and -sqrt(2) (1 + it) at rot 1/4
+                fams[-1] = Laurent(dict(enumerate(EC.unit(rot) * c for c in on_negative_reals[rot])))
+            for i in range(40):
+                ks = rng.sample(range(3), rng.randrange(1, 4))
+                f = Laurent({k: EC.unit(rot) * gr(rng.randrange(-2, 3), rng.randrange(-2, 3)) for k in ks})
+                if not f.is_zero():
+                    fams[i] = f
+            _, values = exact.factor(fams)
+            leading_in_h += sum(f.leading().in_upper_semiclosed() and not f.in_upper_semiclosed()
+                                for f in fams.values())
+            for i, f in fams.items():
+                assert values[i].in_h(rs) == f.in_upper_semiclosed()
+                for j, g in fams.items():
+                    assert values[i].cmp_phase(values[j], rs) == f.cmp_phase(g), (f, g)
+        assert leading_in_h >= 4
+
+    def test_factor_and_expand(self):
+        a, b = EC.unit(F(1, 4), F(1, 5)), EC.unit(F(1, 3))
+        level = {1: Laurent({0: a * gr(F(1, 2), 1), 2: a * gr(0, F(-2, 3))}), 2: Laurent({-1: a})}
+        key, values = exact.factor(level)
+        assert key == (F(1, 4), F(1, 5), 6)
+        assert values[1] == exact.FactoredFamily({0: gr(3, 6), 2: gr(0, -4)})
+        assert exact.expand(key, values) == level
+        gaussian = {1: EC.rational(F(1, 2)), 2: EC.zero()}
+        assert exact.expand(*exact.factor(gaussian)) == gaussian
+        mixed = {1: Laurent({0: a}), 2: Laurent({0: b})}
+        two_atoms = {1: Laurent({0: a + EC.unit(F(1, 4))})}
+        for level in (mixed, two_atoms, {1: Laurent()}):
+            assert exact.factor(level) is None
 
 
 class TestPlumbingRay:
